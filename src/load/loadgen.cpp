@@ -41,8 +41,9 @@ int result_degradation(const moe::MoeMaster::Result& r) {
 /// The protocol plumbing is identical for both serving paths — only master
 /// construction and the expert each worker serves differ, so both arrive
 /// as callables. `make_master(channels)` returns a unique_ptr to a master
-/// with infer/shutdown/set_compute_hook (CollaborativeMaster and MoeMaster
-/// share that surface by convention, not by base class).
+/// with infer/shutdown/set_compute_hook/fleet() (CollaborativeMaster and
+/// MoeMaster share that surface by convention; fleet() is the shared
+/// net::WorkerFleet both serve through).
 template <typename GetExpert, typename MakeMaster>
 LoadResult run_load_generic(const std::string& approach, int k,
                             GetExpert get_expert, const data::Dataset& test,
@@ -86,10 +87,10 @@ LoadResult run_load_generic(const std::string& approach, int k,
   // The master publishes timeline marks through its time source; the
   // steady-clock default would stamp wall time into a virtual-clock run.
   // Behavior-neutral otherwise: with timeout 0 no deadline ever reads it.
-  master->set_time_source([netp] { return netp->node_time(0); });
-  master->set_flow_trace(true);
+  master->fleet().set_time_source([netp] { return netp->node_time(0); });
+  master->fleet().set_flow_trace(true);
   if (load.worker_timeout_s > 0.0) {
-    master->set_worker_timeout(load.worker_timeout_s);
+    master->fleet().set_worker_timeout(load.worker_timeout_s);
   }
 
   obs::TraceTrack track(0, [netp] { return netp->node_time(0); }, "master");

@@ -1,177 +1,29 @@
 #include "moe/moe_serving.hpp"
 
 #include <algorithm>
-#include <string>
 
-#include "common/logging.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace teamnet::moe {
 
-namespace {
-
-/// Registry bump for rare protocol events — off the per-sample hot path.
-void bump(const char* name, std::int64_t delta = 1) {
-  obs::MetricsRegistry::instance().counter(name).add(delta);
-}
-
-}  // namespace
-
 MoeMaster::MoeMaster(SgMoe& model, std::vector<net::Channel*> workers)
-    : model_(model),
-      workers_(std::move(workers)),
-      slots_(workers_.size()),
-      now_(&net::steady_seconds) {
+    : model_(model), fleet_(std::move(workers), "moe") {
   TEAMNET_CHECK_MSG(
-      static_cast<int>(workers_.size()) == model.num_experts() - 1,
+      static_cast<int>(fleet_.size()) == model.num_experts() - 1,
       "need one worker channel per remote expert");
-  for (auto* w : workers_) TEAMNET_CHECK(w != nullptr);
-}
-
-void MoeMaster::set_time_source(net::TimeSource now) {
-  now_ = now ? std::move(now) : net::TimeSource(&net::steady_seconds);
-}
-
-void MoeMaster::set_probe_interval(int queries) {
-  TEAMNET_CHECK_MSG(queries >= 0, "probe interval must be >= 0");
-  probe_interval_ =
-      std::min(queries, net::CollaborativeMaster::kMaxProbeInterval);
-}
-
-void MoeMaster::enable_health(const net::HealthConfig& config) {
-  health_ = std::make_unique<net::HealthTracker>(
-      static_cast<int>(workers_.size()), config, now_);
-}
-
-int MoeMaster::failed_workers() const {
-  return static_cast<int>(
-      std::count_if(slots_.begin(), slots_.end(),
-                    [](const WorkerSlot& s) { return s.failed; }));
-}
-
-bool MoeMaster::worker_alive(int worker_index) const {
-  TEAMNET_CHECK_MSG(
-      worker_index >= 0 && worker_index < static_cast<int>(slots_.size()),
-      "worker index " << worker_index << " out of range [0, " << slots_.size()
-                      << ")");
-  return !slots_[static_cast<std::size_t>(worker_index)].failed;
-}
-
-bool MoeMaster::dispatchable(std::size_t w) const {
-  return !slots_[w].failed &&
-         (!health_ || health_->allow_dispatch(static_cast<int>(w)));
-}
-
-void MoeMaster::mark_failed(std::size_t w) {
-  WorkerSlot& slot = slots_[w];
-  if (slot.failed) return;
-  if (health_) health_->record_failure(static_cast<int>(w));
-  slot.failed = true;
-  slot.probe_id = 0;
-  slot.probe_interval = probe_interval_;
-  slot.probe_countdown = probe_interval_;
-  bump("moe.worker_failures_total");
-  obs::trace_instant("worker_failed", [&] {
-    return obs::TraceArgs().arg("expert", static_cast<std::int64_t>(w) + 1);
-  });
-}
-
-// Probation parity with CollaborativeMaster::probe_failed_workers: poll for
-// Pongs (rejoining answerers, breaker permitting) and send fresh Pings on
-// the exponential-backoff cadence.
-void MoeMaster::probe_failed_workers() {
-  if (probe_interval_ <= 0) return;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    WorkerSlot& slot = slots_[w];
-    if (!slot.failed) continue;
-    try {
-      for (int drained = 0; slot.probe_id != 0 && drained < 64; ++drained) {
-        auto raw = workers_[w]->recv_timeout(0.0);
-        if (!raw) break;
-        net::Message msg;
-        try {
-          msg = net::Message::decode(*raw);
-        } catch (const SerializationError&) {
-          ++stale_discarded_;
-          bump("moe.stale_replies_total");
-          continue;
-        }
-        if (msg.type == net::MsgType::Pong && !msg.ints.empty() &&
-            msg.ints[0] == slot.probe_id) {
-          if (health_) health_->record_probe_success(static_cast<int>(w));
-          if (health_ && !health_->allow_dispatch(static_cast<int>(w))) {
-            slot.probe_id = 0;
-            LOG_INFO("expert " << w + 1
-                               << " answered probe but its breaker is open; "
-                                  "staying in probation");
-            break;
-          }
-          slot.failed = false;
-          slot.probe_id = 0;
-          ++rejoins_;
-          bump("moe.rejoins_total");
-          obs::trace_instant("worker_rejoin", [&] {
-            return obs::TraceArgs().arg("expert",
-                                        static_cast<std::int64_t>(w) + 1);
-          });
-          LOG_INFO("expert " << w + 1
-                             << " answered probe; rejoining the live set");
-          break;
-        }
-        ++stale_discarded_;
-        bump("moe.stale_replies_total");
-        if (flow_trace_ && msg.type == net::MsgType::Result &&
-            !msg.ints.empty()) {
-          // A late Result from before the expert failed: close its flow at
-          // the probation drain so it does not dangle in the trace.
-          obs::trace_flow_finish(
-              "result",
-              obs::flow_id(msg.ints[0], static_cast<int>(w) + 1, 1));
-        }
-      }
-      if (!slot.failed) continue;
-      if (--slot.probe_countdown > 0) continue;
-      net::Message ping;
-      ping.type = net::MsgType::Ping;
-      ping.ints = {++probe_seq_};
-      workers_[w]->send(ping.encode());
-      slot.probe_id = probe_seq_;
-      obs::trace_instant("probe", [&] {
-        return obs::TraceArgs()
-            .arg("expert", static_cast<std::int64_t>(w) + 1)
-            .arg("probe_id", probe_seq_);
-      });
-      slot.probe_interval = std::min(
-          slot.probe_interval * 2, net::CollaborativeMaster::kMaxProbeInterval);
-      slot.probe_countdown = slot.probe_interval;
-    } catch (const Error& e) {
-      LOG_DEBUG("expert " << w + 1 << " probe failed: " << e.what());
-    }
-  }
 }
 
 // analyze:hot  (per-query path: hot-path allocation audit root)
 MoeMaster::Result MoeMaster::infer(const Tensor& x) {
   const std::int64_t n = x.dim(0);
   const std::int64_t qid = ++query_seq_;
-  obs::MetricsRegistry::instance().counter("moe.queries_total").increment();
+  queries_.add();
   obs::TraceSpan query_span("query", [&] {
     return obs::TraceArgs().arg("qid", qid).arg("batch", n);
   });
-  const bool timeline = obs::qtl_active();
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::dispatch, now_());
-  }
-
-  // Probation first, so a recovered worker rejoins in time for this query.
-  probe_failed_workers();
-
-  // The shared deadline anchors before dispatch (the query's SLO) and its
-  // absolute expiry rides in every Infer frame (DESIGN.md §13).
-  net::GatherDeadline deadline(worker_timeout_s_, now_);
+  fleet_.open(qid);
 
   // Gate evaluation on the master (tiny linear layer).
   Result result;
@@ -194,76 +46,20 @@ MoeMaster::Result MoeMaster::infer(const Tensor& x) {
         .push_back(static_cast<int>(r));
   }
 
-  // Degraded rerouting (local fallback): rows routed to a probationed or
-  // breaker-open expert are recomputed by the master's expert 0 — a
-  // wrong-expert answer beats no answer.
-  auto reroute_local = [&](std::size_t expert) {
-    auto& rows = groups[expert];
-    fallback_rows_ += static_cast<std::int64_t>(rows.size());
-    result.fallback_rows += static_cast<std::int64_t>(rows.size());
-    bump("moe.fallback_rows_total", static_cast<std::int64_t>(rows.size()));
-    groups[0].insert(groups[0].end(), rows.begin(), rows.end());
-    rows.clear();
-  };
-  if (local_fallback_) {
-    for (int i = 1; i < model_.num_experts(); ++i) {
-      if (!groups[static_cast<std::size_t>(i)].empty() &&
-          !dispatchable(static_cast<std::size_t>(i - 1))) {
-        reroute_local(static_cast<std::size_t>(i));
-      }
-    }
-  }
-
   // Dispatch remote requests first so the remote nodes compute while the
-  // master handles its local group. Without local fallback a send error
-  // propagates (the legacy strict contract); with it the failure enters
-  // probation and the rows come home.
+  // master handles its local group.
   std::vector<char> asked(groups.size(), 0);
   {
     obs::TraceSpan span("dispatch", [&] {
       return obs::TraceArgs().arg("qid", qid);
     });
-    for (int i = 1; i < model_.num_experts(); ++i) {
-      const auto& rows = groups[static_cast<std::size_t>(i)];
-      if (rows.empty()) continue;
-      net::Message request;
-      request.type = net::MsgType::Infer;
-      net::InferInfo info;
-      info.qid = qid;
-      info.deadline_us = deadline.deadline_us();
-      net::set_infer_info(request, info);
-      request.tensors = {ops::take_rows(x, rows)};
-      if (!local_fallback_) {
-        workers_[static_cast<std::size_t>(i - 1)]->send(request.encode());
-        asked[static_cast<std::size_t>(i)] = 1;
-        if (timeline) {
-          obs::qtl_worker_mark(qid, i - 1, obs::WorkerMark::sent, now_());
-        }
-        if (flow_trace_) {
-          obs::trace_flow_start("infer", obs::flow_id(qid, i, 0));
-        }
-        continue;
-      }
-      try {
-        workers_[static_cast<std::size_t>(i - 1)]->send(request.encode());
-        asked[static_cast<std::size_t>(i)] = 1;
-        if (timeline) {
-          obs::qtl_worker_mark(qid, i - 1, obs::WorkerMark::sent, now_());
-        }
-        if (flow_trace_) {
-          obs::trace_flow_start("infer", obs::flow_id(qid, i, 0));
-        }
-      } catch (const Error& e) {
-        LOG_WARN("expert " << i << " failed on send: " << e.what());
-        mark_failed(static_cast<std::size_t>(i - 1));
-        reroute_local(static_cast<std::size_t>(i));
-      }
+    for (std::size_t i = 1; i < groups.size(); ++i) {
+      if (groups[i].empty()) continue;
+      asked[i] = fleet_.dispatch(
+          i - 1, fleet_.infer_frame(ops::take_rows(x, groups[i])));
     }
   }
-  const double t_sent = now_();
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::broadcast_end, t_sent);
-  }
+  fleet_.end_dispatch();
 
   Tensor probs;
   auto place = [&](const std::vector<int>& rows, const Tensor& pi) {
@@ -276,14 +72,19 @@ MoeMaster::Result MoeMaster::infer(const Tensor& x) {
   };
   auto run_local = [&](const std::vector<int>& rows) {
     Tensor xi = ops::take_rows(x, rows);
-    if (on_compute_) {
-      Shape sample_shape(xi.shape().begin() + 1, xi.shape().end());
-      on_compute_(model_.expert(0).analyze(sample_shape).flops * xi.dim(0));
-    }
+    if (on_compute_) on_compute_(net::batch_flops(model_.expert(0), xi));
     place(rows, ops::softmax_rows(model_.expert(0).predict(xi)));
   };
+  // Local fallback: expert 0 answers the rows routed to expert i.
+  auto fall_back = [&](std::size_t i) {
+    const auto rows = static_cast<std::int64_t>(groups[i].size());
+    result.fallback_rows += rows;
+    fallback_rows_.add(rows);
+    run_local(groups[i]);
+  };
 
-  // Local expert 0 (fallback rows included).
+  // Local expert 0: its own rows, then those of every expert the fleet
+  // could not ask (probation, open breaker, send error).
   if (!groups[0].empty()) {
     obs::TraceSpan span("expert_forward", [&] {
       return obs::TraceArgs().arg("qid", qid).arg(
@@ -291,129 +92,31 @@ MoeMaster::Result MoeMaster::infer(const Tensor& x) {
     });
     run_local(groups[0]);
   }
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::local_compute_end, now_());
+  for (std::size_t i = 1; i < groups.size(); ++i) {
+    if (!groups[i].empty() && !asked[i]) fall_back(i);
   }
+  fleet_.mark(obs::QueryPhase::local_compute_end);
 
-  // Collect remote replies under ONE shared deadline; stale replies (old
-  // query ids left over from a previous timed-out query) and duplicate
-  // probe Pongs are discarded. A missed deadline throws under the strict
-  // contract — the routed expert's answer IS the answer — and falls back
-  // to the local expert in degraded mode.
-  obs::TraceSpan gather_span("gather", [&] {
-    return obs::TraceArgs().arg("qid", qid);
-  });
-  for (int i = 1; i < model_.num_experts(); ++i) {
-    const auto& rows = groups[static_cast<std::size_t>(i)];
-    if (rows.empty() || !asked[static_cast<std::size_t>(i)]) continue;
-    net::Channel& channel = *workers_[static_cast<std::size_t>(i - 1)];
-    const std::size_t w = static_cast<std::size_t>(i - 1);
-    try {
-      for (;;) {
-        auto raw = deadline.recv_from(channel);
-        if (!raw) {
-          if (!local_fallback_) {
-            throw NetworkError("expert " + std::to_string(i) +
-                               " missed the reply deadline");
-          }
-          LOG_WARN("expert " << i << " missed the reply deadline; rows fall "
-                                     "back to the local expert");
-          mark_failed(w);
-          fallback_rows_ += static_cast<std::int64_t>(rows.size());
-          result.fallback_rows += static_cast<std::int64_t>(rows.size());
-          bump("moe.fallback_rows_total",
-               static_cast<std::int64_t>(rows.size()));
-          run_local(rows);
-          break;
-        }
-        net::Message reply = net::Message::decode(*raw);
-        if (reply.type == net::MsgType::Pong) {
-          ++stale_discarded_;  // duplicate probe answer; keep waiting
-          bump("moe.stale_replies_total");
-          continue;
-        }
-        TEAMNET_CHECK(reply.type == net::MsgType::Result &&
-                      reply.tensors.size() == 2);
-        if (test_pre_qid_gather_) {
-          // TEST-ONLY mutant (see set_test_pre_qid_gather): no id echo — the
-          // deadline reading is the only stale filter, so acceptance races
-          // the reply's arrival time against the clock.
-          if (deadline.remaining() <= 0.0) {
-            throw NetworkError("expert " + std::to_string(i) +
-                               " answered past the deadline reading "
-                               "(pre-qid mutant)");
-          }
-        } else if (reply.ints.empty() || reply.ints[0] != qid) {
-          ++stale_discarded_;
-          bump("moe.stale_replies_total");
-          if (flow_trace_ && !reply.ints.empty()) {
-            obs::trace_flow_finish(
-                "result", obs::flow_id(reply.ints[0], i, 1));
-          }
-          obs::trace_instant("stale_reply_discarded", [&] {
-            return obs::TraceArgs().arg("expert", i).arg("qid", qid);
-          });
-          LOG_WARN("expert " << i << " sent a stale reply; discarded");
-          continue;
-        }
-        if (flow_trace_) {
-          obs::trace_flow_finish("result", obs::flow_id(qid, i, 1));
-        }
-        if (timeline) {
-          obs::qtl_worker_mark(qid, i - 1, obs::WorkerMark::reply_recv,
-                               now_());
-        }
-        place(rows, reply.tensors[0]);
-        if (health_) health_->record_success(static_cast<int>(w),
-                                             now_() - t_sent);
-        break;
-      }
-    } catch (const NetworkError&) {
-      if (!local_fallback_) throw;
-      LOG_WARN("expert " << i << " failed on recv; rows fall back to the "
-                                 "local expert");
-      mark_failed(w);
-      fallback_rows_ += static_cast<std::int64_t>(rows.size());
-      result.fallback_rows += static_cast<std::int64_t>(rows.size());
-      bump("moe.fallback_rows_total", static_cast<std::int64_t>(rows.size()));
-      run_local(rows);
-    }
+  // Every asked expert's answer is needed: the routed expert's answer IS
+  // the answer for its rows. The rows of an expert that missed the shared
+  // deadline or errored (now in probation) fall back too.
+  for (const net::Answer& a : fleet_.gather(0)) {
+    place(groups[a.worker + 1], a.probs);
+    asked[a.worker + 1] = 0;
   }
-
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::gather_end, now_());
+  for (std::size_t i = 1; i < groups.size(); ++i) {
+    if (asked[i]) fall_back(i);
   }
+  fleet_.mark(obs::QueryPhase::gather_end);
   result.probs = std::move(probs);
   result.predictions = ops::argmax_rows(result.probs);
-  if (timeline) {
+  if (obs::qtl_active()) {
     // Map onto the shared degradation vocabulary: any row that fell back
     // to the local expert degrades the query (quorum-equivalent).
     obs::qtl_degradation(qid, result.fallback_rows > 0 ? 1 : 0);
-    obs::qtl_master_mark(qid, obs::QueryPhase::complete, now_());
   }
+  fleet_.mark(obs::QueryPhase::complete);
   return result;
-}
-
-void MoeMaster::shutdown() {
-  net::Message msg;
-  msg.type = net::MsgType::Shutdown;
-  const std::string encoded = msg.encode();
-  for (auto* worker : workers_) {
-    try {
-      worker->send(encoded);
-    } catch (const Error& e) {
-      LOG_WARN("moe shutdown send failed: " << e.what());
-    }
-  }
-  // Close every channel so a worker thread wedged in recv unblocks and can
-  // be joined; the Shutdown just sent stays readable until drained.
-  for (auto* worker : workers_) {
-    try {
-      worker->close();
-    } catch (const Error& e) {
-      LOG_WARN("moe shutdown close failed: " << e.what());
-    }
-  }
 }
 
 }  // namespace teamnet::moe

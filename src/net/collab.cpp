@@ -1,8 +1,6 @@
 #include "net/collab.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/logging.hpp"
 #include "core/entropy.hpp"
@@ -13,18 +11,12 @@
 
 namespace teamnet::net {
 
-namespace {
-
-/// Registry bump for rare protocol events (failures, rejoins, stales) —
-/// these are off the per-sample hot path, so the name lookup is fine.
-void bump(const char* name) {
-  obs::MetricsRegistry::instance().counter(name).increment();
-}
-
 std::int64_t batch_flops(nn::Module& model, const Tensor& x) {
   Shape sample_shape(x.shape().begin() + 1, x.shape().end());
   return model.analyze(sample_shape).flops * x.dim(0);
 }
+
+namespace {
 
 /// Local expert evaluation: probabilities + per-sample entropy.
 std::pair<Tensor, Tensor> evaluate(nn::Module& expert, const Tensor& x) {
@@ -34,35 +26,6 @@ std::pair<Tensor, Tensor> evaluate(nn::Module& expert, const Tensor& x) {
 }
 
 }  // namespace
-
-GatherDeadline::GatherDeadline(double budget_s, const TimeSource& now)
-    : now_(now), unbounded_(budget_s <= 0.0) {
-  if (!unbounded_) deadline_ = now_() + budget_s;
-}
-
-bool GatherDeadline::expired() const {
-  return !unbounded_ && now_() >= deadline_;
-}
-
-double GatherDeadline::remaining() const {
-  if (unbounded_) return std::numeric_limits<double>::infinity();
-  const double left = deadline_ - now_();
-  return left > 0.0 ? left : 0.0;
-}
-
-std::int64_t GatherDeadline::deadline_us() const {
-  if (unbounded_) return kNoDeadlineUs;
-  return std::llround(deadline_ * 1e6);
-}
-
-std::optional<std::string> GatherDeadline::recv_from(Channel& channel) const {
-  if (unbounded_) {
-    // The deliberate blocking fallback: no budget was configured, so the
-    // gather keeps the original block-forever semantics.
-    return channel.recv();
-  }
-  return channel.recv_timeout(remaining());
-}
 
 CollaborativeWorker::CollaborativeWorker(nn::Module& expert, Channel& channel)
     : expert_(expert), channel_(channel), now_(&steady_seconds) {
@@ -82,8 +45,8 @@ void CollaborativeWorker::set_trace_node(int node) {
 void CollaborativeWorker::serve() {
   for (;;) {
     // Worker side: blocking on the master is the serving contract; the
-    // deadline discipline (lint rule naked-recv) exists for master-side
-    // gathers, where one slow peer must not starve the rest.
+    // deadline discipline (analyze.py rule unbounded-wait) exists for
+    // master-side gathers, where one slow peer must not starve the rest.
     std::string raw = channel_.recv();
     Message request;
     try {
@@ -111,18 +74,19 @@ void CollaborativeWorker::serve() {
     // the primary replica publishes marks/flows for a query (DESIGN.md
     // §15) — a backup doing the same would double-book the lane.
     const bool marked = trace_node_ >= 1 && !info.hedged && obs::qtl_active();
+    const auto mark = [&](obs::WorkerMark m) {
+      if (marked) obs::qtl_worker_mark(info.qid, trace_node_ - 1, m, now_());
+    };
     if (marked) {
       obs::trace_flow_finish("infer", obs::flow_id(info.qid, trace_node_, 0));
-      obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                           obs::WorkerMark::request_recv, now_());
     }
+    mark(obs::WorkerMark::request_recv);
     if (drop_expired_ && info.deadline_us != kNoDeadlineUs &&
         now_() * 1e6 > static_cast<double>(info.deadline_us)) {
       // The propagated deadline already passed on this node's clock: the
       // master has stopped listening, so computing a reply could only feed
       // the stale-discard path. Drop the request instead (DESIGN.md §13).
-      ++expired_dropped_;
-      bump("worker.expired_dropped_total");
+      expired_dropped_.add();
       obs::trace_instant("expired_request_dropped", [&] {
         return obs::TraceArgs().arg("qid", info.qid);
       });
@@ -137,16 +101,10 @@ void CollaborativeWorker::serve() {
       // compute_begin BEFORE the compute hook: under simulation the hook
       // advances this node's virtual clock by the modeled compute time, so
       // the begin/end pair brackets exactly that interval.
-      if (marked) {
-        obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                             obs::WorkerMark::compute_begin, now_());
-      }
+      mark(obs::WorkerMark::compute_begin);
       if (on_compute_) on_compute_(batch_flops(expert_, x));
       auto [probs, entropy] = evaluate(expert_, x);
-      if (marked) {
-        obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                             obs::WorkerMark::compute_end, now_());
-      }
+      mark(obs::WorkerMark::compute_end);
       Message reply;
       reply.type = MsgType::Result;
       reply.ints = request.ints;  // echo the query id
@@ -154,9 +112,8 @@ void CollaborativeWorker::serve() {
       channel_.send(reply.encode());
       if (marked) {
         obs::trace_flow_start("result", obs::flow_id(info.qid, trace_node_, 1));
-        obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                             obs::WorkerMark::reply_sent, now_());
       }
+      mark(obs::WorkerMark::reply_sent);
       ++served_;
     } catch (const NetworkError&) {
       throw;  // broken channel: the serving loop cannot continue
@@ -169,50 +126,10 @@ void CollaborativeWorker::serve() {
   }
 }
 
-const char* to_string(DegradationLevel level) {
-  switch (level) {
-    case DegradationLevel::full:
-      return "full";
-    case DegradationLevel::quorum:
-      return "quorum";
-    case DegradationLevel::local_only:
-      return "local_only";
-  }
-  return "?";
-}
-
 CollaborativeMaster::CollaborativeMaster(nn::Module& local_expert,
                                          std::vector<Channel*> workers)
-    : expert_(local_expert),
-      workers_(std::move(workers)),
-      slots_(workers_.size()),
-      now_(&steady_seconds) {
+    : expert_(local_expert), fleet_(std::move(workers), "collab") {
   expert_.set_training(false);
-  for (auto* w : workers_) TEAMNET_CHECK(w != nullptr);
-}
-
-int CollaborativeMaster::failed_workers() const {
-  return static_cast<int>(
-      std::count_if(slots_.begin(), slots_.end(),
-                    [](const WorkerSlot& s) { return s.failed; }));
-}
-
-bool CollaborativeMaster::worker_alive(int worker_index) const {
-  TEAMNET_CHECK_MSG(
-      worker_index >= 0 &&
-          worker_index < static_cast<int>(slots_.size()),
-      "worker index " << worker_index << " out of range [0, " << slots_.size()
-                      << ")");
-  return !slots_[static_cast<std::size_t>(worker_index)].failed;
-}
-
-void CollaborativeMaster::set_probe_interval(int queries) {
-  TEAMNET_CHECK_MSG(queries >= 0, "probe interval must be >= 0");
-  probe_interval_ = std::min(queries, kMaxProbeInterval);
-}
-
-void CollaborativeMaster::set_time_source(TimeSource now) {
-  now_ = now ? std::move(now) : TimeSource(&steady_seconds);
 }
 
 void CollaborativeMaster::set_gather_quorum(int answers) {
@@ -220,182 +137,28 @@ void CollaborativeMaster::set_gather_quorum(int answers) {
   quorum_ = answers;
 }
 
-void CollaborativeMaster::enable_health(const HealthConfig& config) {
-  health_ = std::make_unique<HealthTracker>(
-      static_cast<int>(workers_.size()), config, now_);
-}
-
-void CollaborativeMaster::set_hedging(std::vector<Channel*> backups,
-                                      double min_delay_s,
-                                      double latency_factor) {
-  TEAMNET_CHECK_MSG(backups.size() == workers_.size(),
-                    "need one backup entry (possibly null) per worker");
-  TEAMNET_CHECK_MSG(min_delay_s >= 0.0 && latency_factor >= 0.0,
-                    "hedge delay parameters must be >= 0");
-  backups_ = std::move(backups);
-  hedge_min_delay_s_ = min_delay_s;
-  hedge_factor_ = latency_factor;
-}
-
-void CollaborativeMaster::mark_failed(std::size_t w) {
-  WorkerSlot& slot = slots_[w];
-  if (slot.failed) return;
-  if (health_) health_->record_failure(static_cast<int>(w));
-  slot.failed = true;
-  slot.probe_id = 0;
-  slot.probe_interval = probe_interval_;
-  slot.probe_countdown = probe_interval_;
-  bump("collab.worker_failures_total");
-  obs::trace_instant("worker_failed", [&] {
-    return obs::TraceArgs().arg("worker", static_cast<std::int64_t>(w) + 1);
-  });
-}
-
-void CollaborativeMaster::probe_failed_workers() {
-  if (probe_interval_ <= 0) return;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    WorkerSlot& slot = slots_[w];
-    if (!slot.failed) continue;
-    try {
-      // Poll for an answer to the in-flight probe. Anything else queued on
-      // the channel (a late Result from before the worker failed) is stale
-      // and discarded here — bounded drain, never blocking.
-      for (int drained = 0; slot.probe_id != 0 && drained < 64; ++drained) {
-        auto raw = workers_[w]->recv_timeout(0.0);
-        if (!raw) break;
-        Message msg;
-        try {
-          msg = Message::decode(*raw);
-        } catch (const SerializationError&) {
-          ++stale_discarded_;
-          bump("collab.stale_replies_total");
-          continue;
-        }
-        if (msg.type == MsgType::Pong && !msg.ints.empty() &&
-            msg.ints[0] == slot.probe_id) {
-          if (health_) health_->record_probe_success(static_cast<int>(w));
-          if (health_ && !health_->allow_dispatch(static_cast<int>(w))) {
-            // The worker answers probes but its breaker is still inside the
-            // cooldown: stay in probation (the cadence keeps pinging) until
-            // a later Pong lands after the cooldown and opens half_open.
-            slot.probe_id = 0;
-            LOG_INFO("worker " << w + 1
-                               << " answered probe but its breaker is open; "
-                                  "staying in probation");
-            break;
-          }
-          slot.failed = false;
-          slot.probe_id = 0;
-          ++rejoins_;
-          bump("collab.rejoins_total");
-          obs::trace_instant("worker_rejoin", [&] {
-            return obs::TraceArgs().arg("worker",
-                                        static_cast<std::int64_t>(w) + 1);
-          });
-          LOG_INFO("worker " << w + 1
-                             << " answered probe; rejoining the live set");
-          break;
-        }
-        ++stale_discarded_;
-        bump("collab.stale_replies_total");
-        if (flow_trace_ && msg.type == MsgType::Result && !msg.ints.empty()) {
-          // A late Result from before the worker failed: close its flow at
-          // the probation drain so it does not dangle in the trace.
-          obs::trace_flow_finish(
-              "result",
-              obs::flow_id(msg.ints[0], static_cast<int>(w) + 1, 1));
-        }
-      }
-      if (!slot.failed) continue;
-      if (--slot.probe_countdown > 0) continue;
-      Message ping;
-      ping.type = MsgType::Ping;
-      ping.ints = {++probe_seq_};
-      workers_[w]->send(ping.encode());
-      slot.probe_id = probe_seq_;
-      obs::trace_instant("probe", [&] {
-        return obs::TraceArgs()
-            .arg("worker", static_cast<std::int64_t>(w) + 1)
-            .arg("probe_id", probe_seq_);
-      });
-      // Exponential backoff on the probe cadence: each unanswered probe
-      // doubles the wait before the next one, up to kMaxProbeInterval.
-      slot.probe_interval =
-          std::min(slot.probe_interval * 2, kMaxProbeInterval);
-      slot.probe_countdown = slot.probe_interval;
-    } catch (const Error& e) {
-      LOG_DEBUG("worker " << w + 1 << " probe failed: " << e.what());
-      // Still failed; the probe cadence continues on later queries.
-    }
-  }
-}
-
 // analyze:hot  (per-query path: hot-path allocation audit root)
 CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
   TEAMNET_CHECK(x.rank() >= 2);
   const std::int64_t n = x.dim(0);
   const std::int64_t qid = ++query_seq_;
-  bump("collab.queries_total");
+  queries_.add();
   obs::TraceSpan query_span("query", [&] {
     return obs::TraceArgs().arg("qid", qid).arg("batch", n);
   });
-  const bool timeline = obs::qtl_active();
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::dispatch, now_());
-  }
+  fleet_.open(qid);
 
-  // Probation first, so a recovered worker rejoins in time for this query.
-  probe_failed_workers();
-
-  // The shared deadline anchors BEFORE the broadcast: the budget is the
-  // query's SLO — it covers send + compute + gather — and its absolute
-  // expiry rides in every Infer frame so workers can drop requests that
-  // outlive it (deadline propagation, DESIGN.md §13).
-  GatherDeadline deadline(worker_timeout_s_, now_);
-
-  // Step 2: broadcast the sensor data to every live worker. Channel errors
-  // mark the worker failed rather than aborting the query.
-  Message request;
-  request.type = MsgType::Infer;
-  InferInfo dispatch;
-  dispatch.qid = qid;
-  dispatch.deadline_us = deadline.deadline_us();
-  set_infer_info(request, dispatch);
-  request.tensors = {x};
-  const std::string encoded = request.encode();
-  std::vector<bool> asked(workers_.size(), false);
+  // Step 2: broadcast the sensor data to every dispatchable worker. Channel
+  // errors mark the worker failed rather than aborting the query.
+  const std::string encoded = fleet_.infer_frame(x);
   {
     obs::TraceSpan span("broadcast", [&] {
       return obs::TraceArgs().arg("qid", qid).arg("bytes_per_worker",
                                                   encoded.size());
     });
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (slots_[w].failed) continue;
-      if (health_ && !health_->allow_dispatch(static_cast<int>(w))) continue;
-      try {
-        workers_[w]->send(encoded);
-        asked[w] = true;
-        if (timeline) {
-          // Per-worker send-done instants expose the serial broadcast: the
-          // gap between consecutive `sent` marks IS the master's per-worker
-          // serialization cost (AttrPhase::broadcast_serial).
-          obs::qtl_worker_mark(qid, static_cast<int>(w),
-                               obs::WorkerMark::sent, now_());
-        }
-        if (flow_trace_) {
-          obs::trace_flow_start(
-              "infer", obs::flow_id(qid, static_cast<int>(w) + 1, 0));
-        }
-      } catch (const Error& e) {
-        LOG_WARN("worker " << w + 1 << " failed on send: " << e.what());
-        mark_failed(w);
-      }
-    }
+    for (std::size_t w = 0; w < fleet_.size(); ++w) fleet_.dispatch(w, encoded);
   }
-  const double t_sent = now_();
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::broadcast_end, t_sent);
-  }
+  fleet_.end_dispatch();
 
   // Step 3 (local share): the master evaluates its own expert while the
   // workers evaluate theirs.
@@ -407,461 +170,36 @@ CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
     if (on_compute_) on_compute_(batch_flops(expert_, x));
     local = evaluate(expert_, x);
   }
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::local_compute_end, now_());
-  }
-  Tensor local_probs = std::move(local.first);
-  Tensor local_entropy = std::move(local.second);
+  fleet_.mark(obs::QueryPhase::local_compute_end);
 
-  // Step 4: gather whatever answers arrive before ONE shared deadline;
-  // slow or broken workers are marked failed and the selection proceeds
-  // without them. Replies for any other query id are stale (a late answer
-  // from a previously timed-out worker, or a duplicate) and are discarded
-  // instead of desyncing the protocol.
-  std::vector<Tensor> all_probs = {std::move(local_probs)};
-  std::vector<Tensor> all_entropy = {std::move(local_entropy)};
-  std::vector<int> node_of = {0};
-  {
-    obs::TraceSpan span("gather", [&] {
-      return obs::TraceArgs().arg("qid", qid);
-    });
-    std::vector<char> answered_by(workers_.size(), 0);
-    if (!polling_gather()) {
-      // Full gather (the original protocol): one blocking sweep over the
-      // asked workers under the shared deadline.
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        if (!asked[w]) continue;
-        try {
-          for (;;) {
-            auto raw = deadline.recv_from(*workers_[w]);
-            if (!raw) {
-              LOG_WARN("worker " << w + 1 << " missed the "
-                                 << worker_timeout_s_
-                                 << "s gather deadline; marking failed");
-              mark_failed(w);
-              break;
-            }
-            Message reply = Message::decode(*raw);
-            if (reply.type == MsgType::Pong) {
-              ++stale_discarded_;  // duplicate probe answer; keep waiting
-              bump("collab.stale_replies_total");
-              obs::trace_instant("stale_reply_discarded", [&] {
-                return obs::TraceArgs()
-                    .arg("worker", static_cast<std::int64_t>(w) + 1)
-                    .arg("kind", "duplicate_pong");
-              });
-              continue;
-            }
-            TEAMNET_CHECK_MSG(
-                reply.type == MsgType::Result && reply.tensors.size() == 2,
-                "worker " << w + 1 << " sent malformed reply type "
-                          << static_cast<int>(reply.type));
-            if (test_pre_qid_gather_) {
-              // TEST-ONLY mutant (see set_test_pre_qid_gather): the pre-PR-3
-              // gather had no query-id echo, so its only stale defense was
-              // the deadline reading — a Result landing while the deadline
-              // still reads unexpired is trusted as THIS query's answer; one
-              // landing after it is treated as the miss the naive code
-              // assumed. Whether a reply beats the reading depends on its
-              // arrival time, i.e. on the schedule — the race the id echo
-              // removed and the schedule explorer exists to catch.
-              if (deadline.remaining() <= 0.0) {
-                LOG_WARN("worker " << w + 1
-                                   << " answered past the deadline reading; "
-                                      "marking failed (pre-qid mutant)");
-                mark_failed(w);
-                break;
-              }
-            } else if (reply.ints.empty() || reply.ints[0] != qid) {
-              ++stale_discarded_;
-              bump("collab.stale_replies_total");
-              if (flow_trace_ && !reply.ints.empty()) {
-                // Close the stale reply's flow at its discard point — a
-                // drained stale is consumed, not dangling.
-                obs::trace_flow_finish(
-                    "result",
-                    obs::flow_id(reply.ints[0], static_cast<int>(w) + 1, 1));
-              }
-              obs::trace_instant("stale_reply_discarded", [&] {
-                return obs::TraceArgs()
-                    .arg("worker", static_cast<std::int64_t>(w) + 1)
-                    .arg("stale_qid",
-                         reply.ints.empty() ? std::int64_t{-1} : reply.ints[0])
-                    .arg("qid", qid);
-              });
-              LOG_DEBUG("worker " << w + 1 << " sent stale reply for query "
-                                  << (reply.ints.empty() ? -1 : reply.ints[0])
-                                  << " during query " << qid << "; discarded");
-              continue;
-            }
-            if (flow_trace_) {
-              obs::trace_flow_finish(
-                  "result", obs::flow_id(qid, static_cast<int>(w) + 1, 1));
-            }
-            if (timeline) {
-              obs::qtl_worker_mark(qid, static_cast<int>(w),
-                                   obs::WorkerMark::reply_recv, now_());
-            }
-            all_probs.push_back(std::move(reply.tensors[0]));
-            all_entropy.push_back(std::move(reply.tensors[1]));
-            node_of.push_back(static_cast<int>(w) + 1);
-            answered_by[w] = 1;
-            if (health_) {
-              health_->record_success(static_cast<int>(w), now_() - t_sent);
-            }
-            break;
-          }
-        } catch (const Error& e) {
-          LOG_WARN("worker " << w + 1 << " failed on recv: " << e.what());
-          mark_failed(w);
-        }
-      }
-    } else {
-      // Quorum/hedge gather (DESIGN.md §13): instead of a blocking sweep,
-      // poll every outstanding source round-robin with a zero budget.
-      // Under discrete_event a zero-budget receive blocks until quiescence
-      // and charges nothing, so the rotation behaves like an ideal
-      // deterministic select over the outstanding channels; the bounded
-      // no-progress wait at the bottom paces the loop (and burns deadline
-      // budget, virtual time included) when every outstanding worker is
-      // genuinely silent.
-      int asked_count = 0;
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        if (asked[w]) ++asked_count;
-      }
-      const int full_total = 1 + asked_count;
-      const int target =
-          quorum_ > 0 ? std::min(quorum_, full_total) : full_total;
-      int answers = 1;  // the local expert always counts
-      // `pending[w]`: worker w's ANSWER is still needed (counts toward the
-      // target). `primary_outstanding[w]`: worker w's primary replica has a
-      // dispatched request whose reply has not been seen yet — drained even
-      // after the answer arrived via the backup, so a same-query duplicate
-      // is reconciled here instead of surfacing as next query's stale.
-      std::vector<char> pending(workers_.size(), 0);
-      std::vector<char> primary_outstanding(workers_.size(), 0);
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        pending[w] = asked[w] ? 1 : 0;
-        primary_outstanding[w] = asked[w] ? 1 : 0;
-      }
-      bool can_hedge = false;
-      for (std::size_t w = 0; w < backups_.size(); ++w) {
-        if (pending[w] && backups_[w] != nullptr) can_hedge = true;
-      }
-      // Per-backup in-flight request count: repeated hedge rounds stack
-      // sends on the same channel, and every one of them is drained for
-      // duplicate reconciliation.
-      std::vector<int> backup_outstanding(workers_.size(), 0);
-      int hedge_round = 0;
-      double hedge_at = std::numeric_limits<double>::infinity();
-      double hedge_interval = 0.0;
-      if (can_hedge) {
-        // Adaptive hedge delay: wait `hedge_factor_` times the slowest
-        // outstanding worker's expected latency (half the SLO budget when
-        // no health tracker is observing), floored at hedge_min_delay_s_.
-        // The same interval paces the later escalation rounds.
-        double slowest =
-            worker_timeout_s_ > 0.0 ? worker_timeout_s_ / 2 : 0.0;
-        if (health_) {
-          slowest = 0.0;
-          for (std::size_t w = 0; w < backups_.size(); ++w) {
-            if (!pending[w] || backups_[w] == nullptr) continue;
-            slowest = std::max(
-                slowest, health_->expected_latency_s(static_cast<int>(w)));
-          }
-        }
-        hedge_interval =
-            std::max(hedge_min_delay_s_, hedge_factor_ * slowest);
-        hedge_at = t_sent + hedge_interval;
-      }
+  // Step 4: gather the workers' answers before ONE shared deadline — all
+  // of them, or a quorum counting the local expert as one.
+  const auto answers = fleet_.gather(quorum_, &x);
+  fleet_.mark(obs::QueryPhase::gather_end);
 
-      // Accepts or discards one raw frame from worker `w`'s primary or
-      // backup replica; true = it completed a fresh answer.
-      auto process_reply = [&](const std::string& raw, std::size_t w,
-                               bool from_backup) {
-        Message reply = Message::decode(raw);
-        if (reply.type == MsgType::Pong) {
-          ++stale_discarded_;
-          bump("collab.stale_replies_total");
-          obs::trace_instant("stale_reply_discarded", [&] {
-            return obs::TraceArgs()
-                .arg("worker", static_cast<std::int64_t>(w) + 1)
-                .arg("kind", "duplicate_pong");
-          });
-          return false;
-        }
-        TEAMNET_CHECK_MSG(
-            reply.type == MsgType::Result && reply.tensors.size() == 2,
-            "worker " << w + 1 << " sent malformed reply type "
-                      << static_cast<int>(reply.type));
-        if (reply.ints.empty() || reply.ints[0] != qid) {
-          ++stale_discarded_;
-          bump("collab.stale_replies_total");
-          if (flow_trace_ && !from_backup && !reply.ints.empty()) {
-            obs::trace_flow_finish(
-                "result",
-                obs::flow_id(reply.ints[0], static_cast<int>(w) + 1, 1));
-          }
-          obs::trace_instant("stale_reply_discarded", [&] {
-            return obs::TraceArgs()
-                .arg("worker", static_cast<std::int64_t>(w) + 1)
-                .arg("stale_qid",
-                     reply.ints.empty() ? std::int64_t{-1} : reply.ints[0])
-                .arg("qid", qid);
-          });
-          return false;
-        }
-        // A current-query Result settles its source's outstanding request,
-        // duplicate or not.
-        if (from_backup) {
-          if (backup_outstanding[w] > 0) --backup_outstanding[w];
-        } else {
-          primary_outstanding[w] = 0;
-          // Backup replicas never open flows (they answer under a lane
-          // they do not own), so only primary replies close one — whether
-          // accepted or reconciled as a hedge duplicate below.
-          if (flow_trace_) {
-            obs::trace_flow_finish(
-                "result", obs::flow_id(qid, static_cast<int>(w) + 1, 1));
-          }
-        }
-        if (answered_by[w]) {
-          // The other replica of this expert answered first: the id echo
-          // reconciles the duplicate instead of double-counting the expert.
-          ++hedge_duplicates_;
-          bump("collab.hedge_duplicates_total");
-          obs::trace_instant("hedge_duplicate_reconciled", [&] {
-            return obs::TraceArgs()
-                .arg("worker", static_cast<std::int64_t>(w) + 1)
-                .arg("qid", qid);
-          });
-          return false;
-        }
-        answered_by[w] = 1;
-        pending[w] = 0;
-        ++answers;
-        if (timeline) {
-          obs::qtl_worker_mark(qid, static_cast<int>(w),
-                               obs::WorkerMark::reply_recv, now_());
-        }
-        all_probs.push_back(std::move(reply.tensors[0]));
-        all_entropy.push_back(std::move(reply.tensors[1]));
-        node_of.push_back(static_cast<int>(w) + 1);
-        if (from_backup) {
-          ++hedge_wins_;
-          bump("collab.hedge_wins_total");
-          obs::trace_instant("hedge_won", [&] {
-            return obs::TraceArgs()
-                .arg("worker", static_cast<std::int64_t>(w) + 1)
-                .arg("qid", qid);
-          });
-        } else if (health_) {
-          health_->record_success(static_cast<int>(w), now_() - t_sent);
-        }
-        return true;
-      };
-
-      auto hedge_to = [&](std::size_t target_w) {
-        Message hedged;
-        hedged.type = MsgType::Infer;
-        InferInfo info = dispatch;
-        info.hedged = true;
-        set_infer_info(hedged, info);
-        hedged.tensors = {x};
-        try {
-          backups_[target_w]->send(hedged.encode());
-        } catch (const Error& e) {
-          LOG_WARN("hedge to worker " << target_w + 1
-                                      << "'s backup failed on send: "
-                                      << e.what());
-          return;
-        }
-        ++backup_outstanding[target_w];
-        ++hedges_sent_;
-        bump("collab.hedges_total");
-        obs::trace_instant("hedge_dispatch", [&] {
-          return obs::TraceArgs()
-              .arg("worker", static_cast<std::int64_t>(target_w) + 1)
-              .arg("qid", qid);
-        });
-      };
-
-      auto fire_hedge = [&] {
-        ++hedge_round;
-        if (hedge_round == 1) {
-          // First round: cover only the slowest still-outstanding worker
-          // (by health EWMA; lowest index breaks ties deterministically)
-          // with its backup — the classic single tail hedge.
-          std::size_t target_w = workers_.size();
-          double slowest = -1.0;
-          for (std::size_t w = 0; w < backups_.size(); ++w) {
-            if (!pending[w] || backups_[w] == nullptr) continue;
-            const double expect =
-                health_ ? health_->expected_latency_s(static_cast<int>(w))
-                        : 0.0;
-            if (expect > slowest) {
-              slowest = expect;
-              target_w = w;
-            }
-          }
-          if (target_w < workers_.size()) hedge_to(target_w);
-          return;
-        }
-        // Escalation rounds: the first hedge did not close the gather
-        // within another interval, so the query is in the drop-loss tail —
-        // re-issue to EVERY pending worker's backup, previous in-flight
-        // hedges included (a lost hedge is indistinguishable from a slow
-        // one; retrying is what bounds p99 under message loss, DESIGN.md
-        // §13).
-        for (std::size_t w = 0; w < backups_.size(); ++w) {
-          if (!pending[w] || backups_[w] == nullptr) continue;
-          hedge_to(w);
-        }
-      };
-
-      for (;;) {
-        if (answers >= target) break;
-        // A backup can still produce a fresh ANSWER only while its worker
-        // slot is unanswered; once answered it is drained purely for
-        // duplicate reconciliation and must not keep the loop alive.
-        bool any_pending = false;
-        for (std::size_t w = 0; w < workers_.size(); ++w) {
-          if (pending[w]) any_pending = true;
-          if (backup_outstanding[w] > 0 && !answered_by[w]) any_pending = true;
-        }
-        if (!any_pending) break;  // every source answered, failed or errored
-        if (deadline.expired()) {
-          for (std::size_t w = 0; w < workers_.size(); ++w) {
-            if (!pending[w]) continue;
-            LOG_WARN("worker " << w + 1 << " missed the " << worker_timeout_s_
-                               << "s gather deadline; marking failed");
-            mark_failed(w);
-            pending[w] = 0;
-          }
-          std::fill(backup_outstanding.begin(), backup_outstanding.end(), 0);
-          break;
-        }
-        // One zero-budget drain pass over every outstanding source —
-        // answered workers' counterparts included, so same-query duplicates
-        // are reconciled here rather than going stale next query.
-        bool progress = false;
-        for (std::size_t w = 0; w < workers_.size(); ++w) {
-          if (!primary_outstanding[w]) continue;
-          try {
-            while (primary_outstanding[w]) {
-              auto raw = workers_[w]->recv_timeout(0.0);
-              if (!raw) break;
-              progress = true;
-              process_reply(*raw, w, false);
-            }
-          } catch (const Error& e) {
-            LOG_WARN("worker " << w + 1 << " failed on recv: " << e.what());
-            primary_outstanding[w] = 0;
-            if (pending[w]) {  // never fail a worker whose backup answered
-              mark_failed(w);
-              pending[w] = 0;
-            }
-          }
-        }
-        for (std::size_t w = 0; w < workers_.size(); ++w) {
-          if (backup_outstanding[w] <= 0) continue;
-          try {
-            while (backup_outstanding[w] > 0) {
-              auto raw = backups_[w]->recv_timeout(0.0);
-              if (!raw) break;
-              progress = true;
-              process_reply(*raw, w, true);
-            }
-          } catch (const Error& e) {
-            LOG_WARN("worker " << w + 1 << "'s backup failed on recv: "
-                               << e.what());
-            backup_outstanding[w] = 0;
-          }
-        }
-        if (answers >= target) break;
-        if (can_hedge && now_() >= hedge_at) {
-          fire_hedge();
-          hedge_at += hedge_interval;  // pace the next escalation round
-          progress = true;  // a hedged reply may land on the next pass
-        }
-        if (progress) continue;
-        // Nothing moved: block briefly on ONE outstanding source so the
-        // wait burns deadline budget (virtual time under simulation)
-        // instead of spinning, bounded by the deadline and the pending
-        // hedge fire time.
-        double wait = worker_timeout_s_ > 0.0 ? worker_timeout_s_ / 8 : 0.005;
-        wait = std::min(wait, deadline.remaining());
-        if (can_hedge) {
-          wait = std::min(wait, hedge_at - now_());
-        }
-        wait = std::max(wait, 1e-6);
-        Channel* source = nullptr;
-        std::size_t source_w = 0;
-        bool source_backup = false;
-        for (std::size_t w = 0; w < workers_.size(); ++w) {
-          if (pending[w]) {
-            source = workers_[w];
-            source_w = w;
-            break;
-          }
-        }
-        if (source == nullptr) {
-          for (std::size_t w = 0; w < workers_.size(); ++w) {
-            if (backup_outstanding[w] > 0 && !answered_by[w]) {
-              source = backups_[w];
-              source_w = w;
-              source_backup = true;
-              break;
-            }
-          }
-        }
-        if (source == nullptr) continue;
-        try {
-          if (auto raw = source->recv_timeout(wait)) {
-            process_reply(*raw, source_w, source_backup);
-          }
-        } catch (const Error& e) {
-          LOG_WARN("worker " << source_w + 1 << (source_backup ? "'s backup" : "")
-                             << " failed on recv: " << e.what());
-          if (source_backup) {
-            backup_outstanding[source_w] = 0;
-          } else {
-            primary_outstanding[source_w] = 0;
-            if (pending[source_w]) {
-              mark_failed(source_w);
-              pending[source_w] = 0;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::gather_end, now_());
-  }
-
-  // Step 5: per sample, the least-uncertain answering node wins.
-  const int answered = static_cast<int>(all_probs.size());
+  // Step 5: per sample, the least-uncertain answering node wins (ties go
+  // to the local expert, then to the earliest answer).
+  const int answered = 1 + static_cast<int>(answers.size());
   obs::TraceSpan argmin_span("argmin", [&] {
     return obs::TraceArgs().arg("qid", qid).arg("answered", answered);
   });
-  const std::int64_t c = all_probs[0].dim(1);
+  const std::int64_t c = local.first.dim(1);
   Result result;
   result.probs = Tensor({n, c});
   result.chosen.resize(static_cast<std::size_t>(n));
   for (std::int64_t r = 0; r < n; ++r) {
-    int winner = 0;
-    float best = all_entropy[0][r];
-    for (int i = 1; i < answered; ++i) {
-      if (all_entropy[static_cast<std::size_t>(i)][r] < best) {
-        best = all_entropy[static_cast<std::size_t>(i)][r];
-        winner = i;
+    const Tensor* best_probs = &local.first;
+    float best = local.second[r];
+    int node = 0;
+    for (const Answer& a : answers) {
+      if (a.entropy[r] < best) {
+        best = a.entropy[r];
+        best_probs = &a.probs;
+        node = static_cast<int>(a.worker) + 1;
       }
     }
-    result.chosen[static_cast<std::size_t>(r)] =
-        node_of[static_cast<std::size_t>(winner)];
-    const float* src = all_probs[static_cast<std::size_t>(winner)].data() + r * c;
+    result.chosen[static_cast<std::size_t>(r)] = node;
+    const float* src = best_probs->data() + r * c;
     std::copy(src, src + c, result.probs.data() + r * c);
   }
   result.predictions = ops::argmax_rows(result.probs);
@@ -869,66 +207,19 @@ CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
   // Degradation level is fleet-relative (DESIGN.md §13): `full` means every
   // expert contributed — a worker skipped at broadcast (probation, open
   // breaker) degrades the query exactly like one that missed the deadline.
-  if (answered == num_nodes() || workers_.empty()) {
+  if (answered == 1 + static_cast<int>(fleet_.size())) {
     result.degradation = DegradationLevel::full;
-    ++full_gathers_;
-    bump("collab.degradation_full_total");
   } else if (answered == 1) {
     result.degradation = DegradationLevel::local_only;
-    ++local_only_gathers_;
-    bump("collab.degradation_local_only_total");
   } else {
     result.degradation = DegradationLevel::quorum;
-    ++quorum_gathers_;
-    bump("collab.degradation_quorum_total");
   }
-  if (timeline) {
+  gathers_[static_cast<std::size_t>(result.degradation)].add();
+  if (obs::qtl_active()) {
     obs::qtl_degradation(qid, static_cast<int>(result.degradation));
-    obs::qtl_master_mark(qid, obs::QueryPhase::complete, now_());
   }
+  fleet_.mark(obs::QueryPhase::complete);
   return result;
-}
-
-void CollaborativeMaster::shutdown() {
-  Message msg;
-  msg.type = MsgType::Shutdown;
-  const std::string encoded = msg.encode();
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (slots_[w].failed) continue;
-    try {
-      workers_[w]->send(encoded);
-    } catch (const Error& e) {
-      LOG_WARN("worker " << w + 1 << " failed on shutdown: " << e.what());
-    }
-  }
-  // Backup replicas (hedged dispatch) get the same Shutdown so their
-  // serving loops exit too.
-  for (std::size_t b = 0; b < backups_.size(); ++b) {
-    if (backups_[b] == nullptr) continue;
-    try {
-      backups_[b]->send(encoded);
-    } catch (const Error& e) {
-      LOG_WARN("backup " << b + 1 << " failed on shutdown: " << e.what());
-    }
-  }
-  // Close every channel — failed workers included — so a thread wedged in
-  // recv unblocks (NetworkError) and can be joined instead of leaking.
-  // Queued messages (the Shutdown just sent) stay readable until drained.
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    try {
-      workers_[w]->close();
-    } catch (const Error& e) {
-      LOG_WARN("worker " << w + 1 << " failed on close: " << e.what());
-    }
-  }
-  for (std::size_t b = 0; b < backups_.size(); ++b) {
-    if (backups_[b] == nullptr) continue;
-    try {
-      backups_[b]->close();
-    } catch (const Error& e) {
-      LOG_WARN("backup " << b + 1 << " failed on close: " << e.what());
-    }
-  }
 }
 
 }  // namespace teamnet::net

@@ -10,70 +10,26 @@
 // hook reports each node's FLOP count so a simulation can advance its
 // virtual clock; real deployments leave it unset.
 //
-// Fault model (DESIGN.md "Fault model & recovery"): every Infer carries a
-// query id that workers echo on the Result, the gather shares ONE deadline
-// across all workers, and a failed worker sits in probation — probed with
-// Ping/Pong on an exponential-backoff cadence — until it answers and
-// rejoins the live set.
-//
-// Degradation plane (DESIGN.md §13): the Infer frame propagates the
-// query's absolute deadline so workers drop expired requests instead of
-// computing stale replies; the gather can complete at a quorum Q <= K of
-// answers (argmin over what arrived, the local expert always counted); a
-// per-worker circuit breaker (net/health.hpp) removes flapping workers
-// from dispatch; and a hedged re-issue covers the slowest outstanding
-// worker with its designated backup replica.
+// Fault model (DESIGN.md §8) and degradation plane (§13): the master
+// serves through net::WorkerFleet (net/fleet.hpp), which owns the query-id
+// echo, the shared deadline, quorum completion, probation, the circuit
+// breaker and hedging, and which SG-MoE's master shares.
 #pragma once
 
+#include <array>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "net/health.hpp"
-#include "net/message.hpp"
-#include "net/transport.hpp"
+#include "net/fleet.hpp"
 #include "nn/module.hpp"
 
 namespace teamnet::net {
 
 using ComputeHook = std::function<void(std::int64_t flops)>;
 
-/// One shared receive budget for a whole gather loop: however many workers
-/// are slow or dead, the total wait is bounded by a single `budget_s`
-/// (each receive gets whatever remains). A budget <= 0 means unbounded —
-/// receives block forever, the pre-fault-tolerance behavior.
-///
-/// This is the only sanctioned way to receive in master-side gather paths;
-/// tools/lint.py (rule `naked-recv`) rejects bare Channel::recv() calls
-/// there so no gather can silently reintroduce an unbounded per-worker
-/// wait.
-class GatherDeadline {
- public:
-  GatherDeadline(double budget_s, const TimeSource& now);
-
-  bool unbounded() const { return unbounded_; }
-  /// Whether a bounded budget has run out. Always false when unbounded —
-  /// the explicit query for what `remaining() == 0` used to ambiguously
-  /// mean (an unbounded deadline also read 0 through the double-comparison
-  /// footgun of callers testing `remaining() <= 0`).
-  bool expired() const;
-  /// Seconds left before the deadline; 0 once expired, +infinity when
-  /// unbounded.
-  double remaining() const;
-  /// The absolute expiry in microseconds on the time source's clock —
-  /// what an Infer frame propagates (InferInfo::deadline_us).
-  /// kNoDeadlineUs when unbounded.
-  std::int64_t deadline_us() const;
-  /// Receives from `channel`, bounded by remaining() (blocking when
-  /// unbounded). nullopt = deadline expired with no message.
-  std::optional<std::string> recv_from(Channel& channel) const;
-
- private:
-  const TimeSource& now_;
-  bool unbounded_;
-  double deadline_ = 0.0;
-};
+/// FLOPs for `model` to evaluate the batch `x` — what a node reports to
+/// its compute hook.
+std::int64_t batch_flops(nn::Module& model, const Tensor& x);
 
 /// Serves one expert model on one channel until a Shutdown message.
 class CollaborativeWorker {
@@ -117,7 +73,7 @@ class CollaborativeWorker {
   /// Number of probation Pings answered (telemetry).
   std::int64_t pongs_sent() const { return pongs_; }
   /// Infer requests dropped because their deadline had already expired.
-  std::int64_t expired_dropped() const { return expired_dropped_; }
+  std::int64_t expired_dropped() const { return expired_dropped_.value(); }
 
  private:
   nn::Module& expert_;
@@ -128,7 +84,7 @@ class CollaborativeWorker {
   bool drop_expired_ = false;
   std::int64_t served_ = 0;
   std::int64_t pongs_ = 0;
-  std::int64_t expired_dropped_ = 0;
+  obs::Tally expired_dropped_{"worker.expired_dropped_total"};
 };
 
 /// How much of the fleet answered a query before the gather completed
@@ -137,9 +93,7 @@ class CollaborativeWorker {
 /// expert.
 enum class DegradationLevel { full = 0, quorum = 1, local_only = 2 };
 
-const char* to_string(DegradationLevel level);
-
-/// The master edge node: owns a local expert plus channels to the workers.
+/// The master edge node: owns a local expert plus a fleet of workers.
 class CollaborativeMaster {
  public:
   CollaborativeMaster(nn::Module& local_expert, std::vector<Channel*> workers);
@@ -158,151 +112,48 @@ class CollaborativeMaster {
   /// worst case). Failed workers are probed and rejoin when they answer.
   Result infer(const Tensor& x);
 
-  /// Sends Shutdown to every live worker, then closes every worker channel
-  /// (failed ones included) so wedged worker threads unblock and can be
-  /// joined instead of leaking.
-  void shutdown();
+  /// See WorkerFleet::shutdown.
+  void shutdown() { fleet_.shutdown(); }
 
   void set_compute_hook(ComputeHook hook) { on_compute_ = std::move(hook); }
 
-  /// Fault tolerance: when > 0, ONE shared deadline of `seconds` bounds
-  /// the whole gather — a worker that has not answered when the budget
-  /// runs out (or whose channel errors) is marked failed and put on
-  /// probation. 0 (default) = block forever.
-  void set_worker_timeout(double seconds) { worker_timeout_s_ = seconds; }
-
-  /// Probation cadence: a failed worker is probed with a Ping every
-  /// `queries` queries, with the interval doubling after every unanswered
-  /// probe (capped at kMaxProbeInterval). 0 disables probing — a failed
-  /// worker then stays failed forever (the pre-rejoin behavior).
-  void set_probe_interval(int queries);
-
-  /// Substitutes the monotonic clock used for gather deadlines (default:
-  /// steady_seconds). Simulations pass virtual-clock time here.
-  void set_time_source(TimeSource now);
-
-  /// Causal flow tracing (DESIGN.md §15): when enabled, every broadcast
-  /// send opens a Chrome-trace flow ('s') that the worker's receive closes
-  /// ('f'), and every worker reply opens one the gather's read closes —
-  /// Perfetto renders the pairs as arrows across node rows. Off by default
-  /// and only meaningful for in-process sim drivers where master and
-  /// workers share one tracer (and call set_trace_node); over real TCP the
-  /// halves would dangle in separate trace files. Stale replies drained by
-  /// the gather or probation paths still close their flow, so a clean
-  /// (fault-free) trace has no dangling flows — tools/check_trace.py
-  /// enforces exactly that.
-  void set_flow_trace(bool enabled) { flow_trace_ = enabled; }
-
   /// Quorum gather (DESIGN.md §13): when `answers` > 0, a gather completes
   /// as soon as that many answers are in — the local expert always counts
-  /// as one — and the argmin runs over what arrived. Workers still
-  /// outstanding at quorum are NOT marked failed: their late replies are
-  /// discarded as stale on the next query, and the deadline/probation
-  /// machinery handles genuinely dead ones. 0 (default) = wait for every
-  /// asked worker (the original full gather). Values above 1 + #workers
-  /// clamp to a full gather.
+  /// as one — and the argmin runs over what arrived (WorkerFleet::gather).
+  /// 0 (default) = wait for every asked worker (the full gather).
   void set_gather_quorum(int answers);
 
-  /// Per-worker health scoring + circuit breaker (net/health.hpp): an open
-  /// breaker puts the worker in probation (skipped at broadcast, probed via
-  /// Ping/Pong) and an answered probe readmits it only after the breaker's
-  /// cooldown. Uses the master's time source — call after set_time_source.
-  void enable_health(const HealthConfig& config);
-  /// The tracker enabled by enable_health (nullptr before).
-  const HealthTracker* health() const { return health_.get(); }
+  /// The worker fleet: deadline, probation, health, hedging, flow tracing
+  /// and the protocol counters are configured and read there.
+  WorkerFleet& fleet() { return fleet_; }
+  /// Shorthands for the fleet settings and counters most callers use.
+  void set_worker_timeout(double seconds) {
+    fleet_.set_worker_timeout(seconds);
+  }
+  void set_probe_interval(int queries) { fleet_.set_probe_interval(queries); }
+  int failed_workers() const { return fleet_.failed_workers(); }
+  std::int64_t stale_replies_discarded() const {
+    return fleet_.stats().stale_replies.value();
+  }
+  std::int64_t rejoins() const { return fleet_.stats().rejoins.value(); }
 
-  /// Hedged dispatch (DESIGN.md §13): `backups[w]` is the channel to the
-  /// static backup replica serving worker w's expert (nullptr = worker w
-  /// has no backup). Once per query, after an adaptive delay — max of
-  /// `min_delay_s` and `latency_factor` × the health EWMA of the slowest
-  /// outstanding worker (worker_timeout_s/2 without health) — the query is
-  /// re-issued to that worker's backup with the hedge flag set; whichever
-  /// replica answers first wins and the duplicate is reconciled via the
-  /// query-id echo. Requires a bounded worker timeout or a quorum so the
-  /// gather runs the polling loop.
-  void set_hedging(std::vector<Channel*> backups, double min_delay_s,
-                   double latency_factor);
-
-  int num_nodes() const { return 1 + static_cast<int>(workers_.size()); }
-  /// Workers currently marked failed (in probation).
-  int failed_workers() const;
-  /// Whether `worker_index` (0-based) is in the live set. Out-of-range
-  /// indices throw InvariantError.
-  bool worker_alive(int worker_index) const;
-
-  /// Replies discarded because their query id did not match the in-flight
-  /// query (late answers from timed-out workers, injected duplicates).
-  std::int64_t stale_replies_discarded() const { return stale_discarded_; }
-
-  /// Degradation-level accounting: the three counters partition the
+  /// Degradation-level accounting: the per-level counts partition the
   /// queries served so far (full + quorum + local_only == queries).
-  std::int64_t full_gathers() const { return full_gathers_; }
-  std::int64_t quorum_gathers() const { return quorum_gathers_; }
-  std::int64_t local_only_gathers() const { return local_only_gathers_; }
-  /// Hedged re-issues sent / won (the backup's reply was the one used) /
-  /// reconciled duplicates (both replicas answered the same query).
-  std::int64_t hedges_sent() const { return hedges_sent_; }
-  std::int64_t hedge_wins() const { return hedge_wins_; }
-  std::int64_t hedge_duplicates() const { return hedge_duplicates_; }
-
-  /// TEST-ONLY: re-introduces the pre-PR-3 gather, which had no query-id
-  /// echo. Its only stale-reply defense was the deadline clock reading:
-  /// whatever Result arrives while the deadline still reads unexpired is
-  /// trusted as the current query's answer (whichever query it actually
-  /// answers), and one arriving after the reading is treated as a miss.
-  /// That makes acceptance a time-of-check race — the outcome depends on
-  /// arrival order against the deadline, i.e. on the schedule — which is
-  /// the ordering bug the id echo removed. Exists so the schedule
-  /// explorer's mutation gate can prove the detector catches a real bug;
-  /// never enable in production paths.
-  void set_test_pre_qid_gather(bool enable) { test_pre_qid_gather_ = enable; }
-  /// Probed workers that answered and re-entered the live set.
-  std::int64_t rejoins() const { return rejoins_; }
-
-  /// Probe backoff never exceeds this many queries between Pings.
-  static constexpr int kMaxProbeInterval = 64;
+  std::int64_t gathers(DegradationLevel level) const {
+    return gathers_[static_cast<std::size_t>(level)].value();
+  }
 
  private:
-  /// Per-worker fault-tolerance state machine: live <-> probation.
-  struct WorkerSlot {
-    bool failed = false;
-    int probe_countdown = 0;  ///< queries until the next probe action
-    int probe_interval = 0;   ///< current backoff interval (queries)
-    std::int64_t probe_id = 0;  ///< in-flight Ping id (0 = none)
-  };
-
-  void mark_failed(std::size_t w);
-  /// Polls probation workers for Pongs (rejoining the ones that answered)
-  /// and sends fresh Pings on the backoff cadence.
-  void probe_failed_workers();
-  /// Whether the quorum/hedge polling gather replaces the sequential
-  /// full gather for this query.
-  bool polling_gather() const { return quorum_ > 0 || !backups_.empty(); }
-
   nn::Module& expert_;
-  std::vector<Channel*> workers_;
-  std::vector<WorkerSlot> slots_;
-  double worker_timeout_s_ = 0.0;
-  int probe_interval_ = 4;
-  TimeSource now_;
+  WorkerFleet fleet_;
   ComputeHook on_compute_;
   int quorum_ = 0;  ///< 0 = full gather
-  std::unique_ptr<HealthTracker> health_;
-  std::vector<Channel*> backups_;  ///< empty = hedging disabled
-  double hedge_min_delay_s_ = 0.0;
-  double hedge_factor_ = 1.5;
-  bool flow_trace_ = false;
   std::int64_t query_seq_ = 0;
-  std::int64_t probe_seq_ = 0;
-  std::int64_t stale_discarded_ = 0;
-  std::int64_t rejoins_ = 0;
-  std::int64_t full_gathers_ = 0;
-  std::int64_t quorum_gathers_ = 0;
-  std::int64_t local_only_gathers_ = 0;
-  std::int64_t hedges_sent_ = 0;
-  std::int64_t hedge_wins_ = 0;
-  std::int64_t hedge_duplicates_ = 0;
-  bool test_pre_qid_gather_ = false;  ///< test-only mutation hook
+  obs::Tally queries_{"collab.queries_total"};
+  std::array<obs::Tally, 3> gathers_{
+      obs::Tally("collab.degradation_full_total"),
+      obs::Tally("collab.degradation_quorum_total"),
+      obs::Tally("collab.degradation_local_only_total")};
 };
 
 }  // namespace teamnet::net

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -162,6 +163,30 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       TN_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Series>> series_ TN_GUARDED_BY(mutex_);
+};
+
+/// A single-owner event count with one increment path: the value its
+/// owner reads back and the registry counter the metrics sink exports
+/// move together. The counter is looked up on the first add and cached,
+/// so a per-query path pays the registry's name lookup and lock once, and
+/// a run's snapshot names only the events that actually happened.
+class Tally {
+ public:
+  explicit Tally(std::string name) : name_(std::move(name)) {}
+
+  void add(std::int64_t delta = 1) {
+    if (counter_ == nullptr) {
+      counter_ = &MetricsRegistry::instance().counter(name_);
+    }
+    counter_->add(delta);
+    value_ += delta;
+  }
+  std::int64_t value() const { return value_; }
+
+ private:
+  std::string name_;
+  Counter* counter_ = nullptr;
+  std::int64_t value_ = 0;
 };
 
 /// Writes a snapshot of every registered metric as a JSON document (the

@@ -107,7 +107,7 @@ ScenarioResult run_teamnet_heterogeneous(
   // and vice versa, so traced runs pass the no-dangling-flow check. The
   // chaos/resilience runners stay un-instrumented — a dropped request
   // would leave a by-design dangling arrow the validator cannot excuse.
-  master.set_flow_trace(true);
+  master.fleet().set_flow_trace(true);
 
   SimNet* netp = net.get();
   obs::TraceTrack track(0, [netp] { return netp->node_time(0); }, "master");
@@ -233,8 +233,8 @@ ChaosResult run_teamnet_chaos(const std::vector<nn::Module*>& experts,
   master.set_compute_hook(make_hook(*net, 0, config.device, &master_compute));
   master.set_worker_timeout(chaos.worker_timeout_s);
   master.set_probe_interval(chaos.probe_interval);
-  master.set_time_source([netp] { return netp->node_time(0); });
-  if (chaos.test_pre_qid_gather) master.set_test_pre_qid_gather(true);
+  master.fleet().set_time_source([netp] { return netp->node_time(0); });
+  if (chaos.test_pre_qid_gather) master.fleet().set_test_pre_qid_gather(true);
 
   obs::TraceTrack track(0, [netp] { return netp->node_time(0); }, "master");
   const auto queries = sample_queries(test, config.num_queries, config.seed);
@@ -387,12 +387,12 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
   master.set_compute_hook(make_hook(*net, 0, config.device, &master_compute));
   master.set_worker_timeout(res.worker_timeout_s);
   master.set_probe_interval(res.probe_interval);
-  master.set_time_source([netp] { return netp->node_time(0); });
-  if (res.health) master.enable_health(res.health_config);
+  master.fleet().set_time_source([netp] { return netp->node_time(0); });
+  if (res.health) master.fleet().enable_health(res.health_config);
   if (res.quorum > 0) master.set_gather_quorum(res.quorum);
   if (res.hedging) {
-    master.set_hedging(backup_channels, res.hedge_min_delay_s,
-                       res.hedge_latency_factor);
+    master.fleet().set_hedging(backup_channels, res.hedge_min_delay_s,
+                               res.hedge_latency_factor);
   }
 
   obs::TraceTrack track(0, [netp] { return netp->node_time(0); }, "master");
@@ -451,14 +451,18 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
 
   result.p50_ms = obs::nearest_rank_percentile(result.latency_ms, 50.0);
   result.p99_ms = obs::nearest_rank_percentile(result.latency_ms, 99.0);
-  result.full_gathers = master.full_gathers();
-  result.quorum_gathers = master.quorum_gathers();
-  result.local_only_gathers = master.local_only_gathers();
-  result.hedges_sent = master.hedges_sent();
-  result.hedge_wins = master.hedge_wins();
-  result.hedge_duplicates = master.hedge_duplicates();
+  result.full_gathers = master.gathers(net::DegradationLevel::full);
+  result.quorum_gathers = master.gathers(net::DegradationLevel::quorum);
+  result.local_only_gathers =
+      master.gathers(net::DegradationLevel::local_only);
+  const net::FleetStats& stats = master.fleet().stats();
+  result.hedges_sent = stats.hedges.value();
+  result.hedge_wins = stats.hedge_wins.value();
+  result.hedge_duplicates = stats.hedge_duplicates.value();
   result.breaker_opens =
-      master.health() != nullptr ? master.health()->breaker_opens() : 0;
+      master.fleet().health() != nullptr
+          ? master.fleet().health()->breaker_opens()
+          : 0;
   result.rejoins = master.rejoins();
   result.stale_replies = master.stale_replies_discarded();
   for (const auto& w : workers) result.expired_drops += w->expired_dropped();
@@ -647,7 +651,8 @@ ScenarioResult run_sg_moe(moe::SgMoe& model, const data::Dataset& test,
   }
   moe::MoeMaster master(model, worker_channels);
   master.set_compute_hook(make_hook(*net, 0, config.device, &master_compute));
-  master.set_flow_trace(true);  // fault-free: flows always pair (see above)
+  // Fault-free: flows always pair (see run_teamnet_heterogeneous).
+  master.fleet().set_flow_trace(true);
 
   SimNet* netp = net.get();
   obs::TraceTrack track(0, [netp] { return netp->node_time(0); }, "master");

@@ -236,7 +236,7 @@ TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   }
   net::CollaborativeMaster master(expert, channels);
   master.set_worker_timeout(timeout_s);
-  master.set_time_source([&clock] { return clock.node_time(0); });
+  master.fleet().set_time_source([&clock] { return clock.node_time(0); });
 
   Tensor x = Tensor::randn({1, 6}, rng);
   const double t0 = clock.node_time(0);
@@ -250,6 +250,45 @@ TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   // near the (k-1) * budget a per-worker deadline would burn.
   EXPECT_GE(waited, timeout_s * 0.999);
   EXPECT_LT(waited, timeout_s * 1.5);
+}
+
+/// Full gather under free-running simulation: a worker that is slow in
+/// REAL time (its compute hook sleeps) must cost the master no virtual
+/// time. The gather blocks on the worker for the rest of the deadline
+/// instead of pacing itself with short timed waits — under free_running a
+/// timed wait that expires charges its whole budget to the virtual clock,
+/// so every expiry would add to `latency`.
+TEST(ChaosProtocol, FullGatherChargesNoVirtualTimeForRealTimeSlowWorker) {
+  Rng rng(14);
+  nn::MlpNet master_expert(tiny_mlp(), rng);
+  nn::MlpNet worker_expert(tiny_mlp(), rng);
+  Tensor x = Tensor::randn({1, 6}, rng);
+
+  auto run = [&](std::chrono::milliseconds real_delay) {
+    net::VirtualClock clock(2);
+    auto mesh = net::make_sim_mesh(2, clock, latency_only_link());
+    net::CollaborativeWorker worker(worker_expert, *mesh[1][0]);
+    worker.set_compute_hook([&clock, real_delay](std::int64_t) {
+      clock.advance(1, 0.002);
+      std::this_thread::sleep_for(real_delay);
+    });
+    std::thread t([&worker] { worker.serve(); });
+    net::CollaborativeMaster master(master_expert, {mesh[0][1].get()});
+    master.set_compute_hook(
+        [&clock](std::int64_t) { clock.advance(0, 0.001); });
+    master.fleet().set_time_source([&clock] { return clock.node_time(0); });
+    std::vector<double> latency;
+    for (int q = 0; q < 3; ++q) {
+      const double t0 = clock.node_time(0);
+      master.infer(x);
+      latency.push_back(clock.node_time(0) - t0);
+    }
+    master.shutdown();
+    t.join();
+    return latency;
+  };
+  EXPECT_EQ(run(std::chrono::milliseconds(0)),
+            run(std::chrono::milliseconds(20)));
 }
 
 /// Crash -> probation -> Ping/Pong -> rejoin, end to end, with the
@@ -291,16 +330,16 @@ TEST(ChaosProtocol, PartitionedWorkerRejoinsAndMatchesBaseline) {
   link.set_partition(true, true);
   master.infer(x);
   EXPECT_EQ(master.failed_workers(), 1);
-  EXPECT_FALSE(master.worker_alive(0));
+  EXPECT_FALSE(master.fleet().worker_alive(0));
 
   link.set_partition(false, false);
   // Probation: the master pings on its backoff cadence and the worker's
   // Pong brings it back. Bounded loop — rejoin must happen well within it.
-  for (int q = 0; q < 100 && !master.worker_alive(0); ++q) {
+  for (int q = 0; q < 100 && !master.fleet().worker_alive(0); ++q) {
     master.infer(x);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_TRUE(master.worker_alive(0));
+  EXPECT_TRUE(master.fleet().worker_alive(0));
   EXPECT_EQ(master.failed_workers(), 0);
   EXPECT_EQ(master.rejoins(), 1);
 
@@ -415,13 +454,19 @@ TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
 }
 
 /// Rejoin inside the simulated scenario: a worker partitioned for a window
-/// of queries must be back in the live set by the end of the run.
+/// of queries must be back in the live set by the end of the run. Runs
+/// under discrete_event, where probation's zero-budget Pong poll waits for
+/// quiescence: under free_running it races the healed worker's thread, and
+/// on a loaded host the Pong could miss every remaining query. Free-running
+/// rejoin is covered by
+/// ChaosProtocol.PartitionedWorkerRejoinsAndMatchesBaseline.
 TEST(ChaosScenario, ScriptedPartitionHealsAndRejoins) {
   auto experts = make_experts(3);
   auto test = blobs();
   sim::ScenarioConfig cfg;
   cfg.num_queries = 20;
   cfg.link = latency_only_link();
+  cfg.scheduler = sim::Scheduler::discrete_event;
 
   sim::ChaosConfig chaos;
   chaos.faults.seed = chaos_seed();

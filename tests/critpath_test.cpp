@@ -390,7 +390,7 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
   net::CollaborativeMaster master(*experts[0], worker_channels);
   master.set_compute_hook(
       sim::make_compute_hook(*net, 0, cfg.device, nullptr));
-  master.set_time_source([netp] { return netp->node_time(0); });
+  master.fleet().set_time_source([netp] { return netp->node_time(0); });
   if (worker_timeout_s > 0.0) master.set_worker_timeout(worker_timeout_s);
   if (quorum > 0) master.set_gather_quorum(quorum);
 

@@ -68,8 +68,8 @@ TEST(FaultTolerance, WedgedWorkerIsTimedOutAndExcluded) {
   auto result = master.infer(x);
   EXPECT_EQ(result.predictions.size(), 2u);
   EXPECT_EQ(master.failed_workers(), 1);
-  EXPECT_TRUE(master.worker_alive(0));
-  EXPECT_FALSE(master.worker_alive(1));
+  EXPECT_TRUE(master.fleet().worker_alive(0));
+  EXPECT_FALSE(master.fleet().worker_alive(1));
   // Only nodes 0 (master) and 1 (live worker) can win.
   for (int chosen : result.chosen) EXPECT_NE(chosen, 2);
 
@@ -158,8 +158,8 @@ TEST(FaultTolerance, ChosenIndexStillNamesGlobalNode) {
   master.set_worker_timeout(0.05);
   Tensor x = Tensor::full({1, 6}, 1.0f);
   auto result = master.infer(x);
-  EXPECT_FALSE(master.worker_alive(0));
-  EXPECT_TRUE(master.worker_alive(1));
+  EXPECT_FALSE(master.fleet().worker_alive(0));
+  EXPECT_TRUE(master.fleet().worker_alive(1));
   EXPECT_EQ(result.chosen[0], 2) << "global node index must be preserved";
   master.shutdown();
   worker_thread.join();
@@ -171,9 +171,9 @@ TEST(FaultTolerance, WorkerAliveBoundsChecked) {
   auto [m1, w1] = net::make_inproc_pair();
   net::CollaborativeMaster master(master_expert, {m1.get()});
 
-  EXPECT_TRUE(master.worker_alive(0));
-  EXPECT_THROW(master.worker_alive(-1), InvariantError);
-  EXPECT_THROW(master.worker_alive(1), InvariantError);
+  EXPECT_TRUE(master.fleet().worker_alive(0));
+  EXPECT_THROW(master.fleet().worker_alive(-1), InvariantError);
+  EXPECT_THROW(master.fleet().worker_alive(1), InvariantError);
 }
 
 TEST(FaultTolerance, ShutdownClosesChannelsSoWorkerThreadsJoin) {
@@ -209,7 +209,7 @@ TEST(FaultTolerance, ShutdownClosesChannelsSoWorkerThreadsJoin) {
   auto result = master.infer(x);
   EXPECT_EQ(result.predictions.size(), 2u);
   EXPECT_EQ(master.failed_workers(), 1);
-  EXPECT_FALSE(master.worker_alive(1));
+  EXPECT_FALSE(master.fleet().worker_alive(1));
 
   // Shutdown must close EVERY worker channel — the failed one included —
   // or the mute worker's thread would block in recv forever (this join

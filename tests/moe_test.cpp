@@ -2,14 +2,17 @@
 // load balancing, joint training, and distributed serving equivalence.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "data/blobs.hpp"
 #include "moe/moe_ops.hpp"
 #include "moe/moe_serving.hpp"
 #include "moe/sg_moe.hpp"
+#include "net/fault.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
+#include "tensor/ops.hpp"
 
 namespace teamnet {
 namespace {
@@ -159,6 +162,84 @@ TEST(MoeServing, DistributedMatchesLocalInference) {
   EXPECT_EQ(actual.routed, expected.routed);
   EXPECT_EQ(actual.predictions, expected.predictions);
   EXPECT_TRUE(actual.probs.allclose(expected.probs, 1e-5f));
+}
+
+/// SG-MoE's one degraded mode: the rows routed to an expert whose link is
+/// partitioned are answered by the master's expert 0, the expert enters
+/// the shared probation, and it rejoins once it answers a Ping.
+TEST(MoeServing, PartitionedExpertFallsBackToLocalThenRejoins) {
+  data::BlobsConfig bc;
+  bc.num_samples = 300;
+  auto ds = data::make_blobs(bc);
+  moe::SgMoeConfig cfg;
+  cfg.num_experts = 3;
+  cfg.epochs = 3;
+  moe::SgMoe model(cfg, bc.dims, blob_expert_factory(bc.dims, 4));
+  model.train(ds);
+  const auto expected = model.infer(ds.images);
+
+  std::vector<std::unique_ptr<net::FaultyChannel>> links;
+  std::vector<net::Channel*> channels;
+  std::vector<std::unique_ptr<net::CollaborativeWorker>> workers;
+  std::vector<net::ChannelPtr> worker_ends;
+  std::vector<std::thread> threads;
+  for (int i = 1; i < 3; ++i) {
+    auto [m, w] = net::make_inproc_pair();
+    links.push_back(std::make_unique<net::FaultyChannel>(std::move(m),
+                                                         net::FaultProfile{}));
+    channels.push_back(links.back().get());
+    worker_ends.push_back(std::move(w));
+    workers.push_back(std::make_unique<net::CollaborativeWorker>(
+        model.expert(i), *worker_ends.back()));
+    threads.emplace_back([w = workers.back().get()] {
+      try {
+        w->serve();
+      } catch (const Error&) {
+      }
+    });
+  }
+  moe::MoeMaster master(model, channels);
+  master.fleet().set_worker_timeout(0.2);
+  master.fleet().set_probe_interval(1);
+
+  // Partition the remote expert with the most routed rows.
+  std::vector<int> rows_of[3];
+  for (int r = 0; r < ds.size(); ++r) {
+    rows_of[expected.routed[static_cast<std::size_t>(r)]].push_back(r);
+  }
+  const int dark = rows_of[1].size() >= rows_of[2].size() ? 1 : 2;
+  const auto& dark_rows = rows_of[dark];
+  ASSERT_FALSE(dark_rows.empty());
+  links[static_cast<std::size_t>(dark - 1)]->set_partition(true, true);
+
+  const auto degraded = master.infer(ds.images);
+  EXPECT_EQ(degraded.fallback_rows,
+            static_cast<std::int64_t>(dark_rows.size()));
+  EXPECT_FALSE(master.fleet().worker_alive(dark - 1));
+  const auto local = ops::argmax_rows(ops::softmax_rows(
+      model.expert(0).predict(ops::take_rows(ds.images, dark_rows))));
+  for (std::size_t j = 0; j < dark_rows.size(); ++j) {
+    EXPECT_EQ(degraded.predictions[static_cast<std::size_t>(dark_rows[j])],
+              local[j]);
+  }
+  for (int r : rows_of[3 - dark]) {
+    EXPECT_EQ(degraded.predictions[static_cast<std::size_t>(r)],
+              expected.predictions[static_cast<std::size_t>(r)]);
+  }
+
+  links[static_cast<std::size_t>(dark - 1)]->set_partition(false, false);
+  for (int q = 0; q < 100 && !master.fleet().worker_alive(dark - 1); ++q) {
+    master.infer(ds.images);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(master.fleet().worker_alive(dark - 1));
+  EXPECT_EQ(master.fleet().stats().rejoins.value(), 1);
+
+  const auto healed = master.infer(ds.images);
+  EXPECT_EQ(healed.fallback_rows, 0);
+  EXPECT_EQ(healed.predictions, expected.predictions);
+  master.shutdown();
+  for (auto& t : threads) t.join();
 }
 
 TEST(MoeServing, RejectsWrongWorkerCount) {

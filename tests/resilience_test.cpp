@@ -199,16 +199,16 @@ TEST(DuplicateReconciliation, BothReplicasAnsweringIsReconciledOnce) {
   net::CollaborativeMaster master(
       master_expert, {b_master.get(), c_master.get(), d_master.get()});
   master.set_worker_timeout(0.5);
-  master.enable_health(net::HealthConfig{});
+  master.fleet().enable_health(net::HealthConfig{});
   // Only C has a backup, so the hedge (after ~15ms of C pending) must pick
   // C — D pending without a backup never hedges.
-  master.set_hedging({nullptr, cb_master.get(), nullptr},
-                     /*min_delay_s=*/0.01, /*latency_factor=*/1.5);
+  master.fleet().set_hedging({nullptr, cb_master.get(), nullptr},
+                             /*min_delay_s=*/0.01, /*latency_factor=*/1.5);
 
   auto result = master.infer(Tensor::randn({1, 6}, rng));
   EXPECT_EQ(result.answered, 3);  // local + B + one C replica, never 4
-  EXPECT_EQ(master.hedges_sent(), 1);
-  EXPECT_EQ(master.hedge_duplicates(), 1);
+  EXPECT_EQ(master.fleet().stats().hedges.value(), 1);
+  EXPECT_EQ(master.fleet().stats().hedge_duplicates.value(), 1);
   EXPECT_EQ(master.stale_replies_discarded(), 0);
   EXPECT_EQ(result.degradation, net::DegradationLevel::quorum);
   EXPECT_EQ(master.failed_workers(), 1);  // D missed the deadline
@@ -254,16 +254,16 @@ TEST(HedgedDispatch, HedgeWinsUnderPartitionThenHeal) {
 
   net::CollaborativeMaster master(master_expert, {faulty.get()});
   master.set_worker_timeout(2.0);
-  master.enable_health(net::HealthConfig{});
-  master.set_hedging({backup_master_ch.get()}, /*min_delay_s=*/0.01,
-                     /*latency_factor=*/1.5);
+  master.fleet().enable_health(net::HealthConfig{});
+  master.fleet().set_hedging({backup_master_ch.get()},
+                             /*min_delay_s=*/0.01, /*latency_factor=*/1.5);
 
   Tensor x = Tensor::randn({1, 6}, rng);
 
   link.set_partition(true, true);  // primary dark: only the hedge can answer
   auto hedged = master.infer(x);
-  EXPECT_EQ(master.hedges_sent(), 1);
-  EXPECT_EQ(master.hedge_wins(), 1);
+  EXPECT_EQ(master.fleet().stats().hedges.value(), 1);
+  EXPECT_EQ(master.fleet().stats().hedge_wins.value(), 1);
   EXPECT_EQ(hedged.answered, 2);
   EXPECT_EQ(hedged.degradation, net::DegradationLevel::full)
       << "the backup kept the fleet at full strength";
