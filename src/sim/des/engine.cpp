@@ -43,6 +43,7 @@ Engine::Engine(int num_nodes, std::unique_ptr<GrantPolicy> policy)
                                       num_nodes)) {
   TEAMNET_CHECK_MSG(num_nodes > 0, "Engine needs at least one node");
   nodes_.resize(static_cast<std::size_t>(num_nodes));
+  wake_ = std::make_unique<CondVar[]>(static_cast<std::size_t>(num_nodes));
   eligible_.reserve(static_cast<std::size_t>(num_nodes));
 }
 
@@ -73,6 +74,11 @@ std::int64_t Engine::messages_delivered() const {
   return messages_;
 }
 
+Engine::WakeStats Engine::wake_stats() const {
+  MutexLock lock(mutex_);
+  return wake_stats_;
+}
+
 void Engine::throw_if_deadlocked_locked() const {
   if (deadlocked_) throw DeadlockError(deadlock_msg_);
 }
@@ -99,9 +105,7 @@ double Engine::wake_time_locked(const NodeSlot& slot) const {
   return std::numeric_limits<double>::infinity();
 }
 
-bool Engine::granted_locked(int node) const {
-  const NodeSlot& self = nodes_[static_cast<std::size_t>(node)];
-  if (self.state != NodeState::kRunning) return false;
+int Engine::grant_holder_locked() const {
   // Conservative floor: a node may only act while it is within the policy's
   // eligibility window of the minimum key, where a running node's key is
   // its clock and a blocked node's key is its determined wake time. A
@@ -117,7 +121,7 @@ bool Engine::granted_locked(int node) const {
   // timed ops perturbs only virtual times via the shared-medium cursor
   // (bounded arbitration jitter); per-mailbox delivery content remains
   // pump-fire-order deterministic either way.
-  double t_min = self.time;
+  double t_min = std::numeric_limits<double>::infinity();
   for (int m = 0; m < num_nodes_; ++m) {
     const NodeSlot& other = nodes_[static_cast<std::size_t>(m)];
     const double t = other.state == NodeState::kRunning
@@ -126,7 +130,6 @@ bool Engine::granted_locked(int node) const {
     if (t < t_min) t_min = t;
   }
   const double window = t_min + policy_->slack();
-  if (self.time > window) return false;
   // Events win ties against running nodes: a delivery due at or before a
   // node's own clock must land before that node takes another timed step,
   // or the trace would depend on which thread got scheduled first. The
@@ -136,7 +139,6 @@ bool Engine::granted_locked(int node) const {
   const double gate = events_.empty()
                           ? std::numeric_limits<double>::infinity()
                           : events_.top().key.time;
-  if (self.time >= gate) return false;
   eligible_.clear();
   for (int m = 0; m < num_nodes_; ++m) {
     const NodeSlot& other = nodes_[static_cast<std::size_t>(m)];
@@ -145,12 +147,42 @@ bool Engine::granted_locked(int node) const {
                          : wake_time_locked(other);
     if (t <= window && t < gate) eligible_.push_back(m);
   }
+  if (eligible_.empty()) return -1;
   // Which of the simultaneously eligible nodes acts first is pure schedule
   // choice — delegate it to the policy. The salt mixes in state that only
   // granted sends mutate, so repeated ties at the same virtual time can
   // still land on different winners without breaking the purity contract.
+  // Purity is also what lets wake_locked evaluate the pick on the waker's
+  // side: the woken node re-evaluates it and must land on the same winner.
   const std::uint64_t salt = mix64(next_seq_ ^ double_bits(medium_free_));
-  return policy_->choose(t_min, eligible_, salt) == node;
+  const int holder = policy_->choose(t_min, eligible_, salt);
+  // The pick may be a blocked node whose wake time is determined: then no
+  // running node holds the grant until that node's thread resumes.
+  return nodes_[static_cast<std::size_t>(holder)].state == NodeState::kRunning
+             ? holder
+             : -1;
+}
+
+void Engine::wake_locked() {
+  const int holder = grant_holder_locked();
+  for (int n = 0; n < num_nodes_; ++n) {
+    NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
+    if (!slot.parked) continue;
+    // Each test is the parked node's own wait predicate: the grant holder
+    // parks in await_grant_locked, a blocked reader in recv/recv_timeout.
+    const Mailbox* mb = slot.waiting;  // non-null exactly while blocked
+    const bool ready =
+        deadlocked_ || n == holder ||
+        (slot.state == NodeState::kBlocked &&
+         (!mb->queue_.empty() || (mb->closed_ && mb->pending_events_ == 0) ||
+          (slot.has_timeout && slot.timed_out)));
+    if (ready) {
+      // Cleared here so later state changes do not re-signal a thread that
+      // is already on its way back to the mutex.
+      slot.parked = false;
+      wake_[static_cast<std::size_t>(n)].notify_one();
+    }
+  }
 }
 
 void Engine::record_locked(std::uint64_t tag, int node, double time,
@@ -174,7 +206,7 @@ int Engine::unretired_nodes() const {
   return n;
 }
 
-void Engine::pump_locked() {
+bool Engine::pump_locked() {
   const double horizon = min_running_time_locked();
   bool fired = false;
   while (!events_.empty() && events_.top().key.time <= horizon) {
@@ -186,7 +218,7 @@ void Engine::pump_locked() {
   }
   // Firing never changes a running node's clock, so `horizon` stays valid
   // across the loop.
-  if (fired) cv_.notify_all();
+  return fired;
 }
 
 void Engine::check_quiescence_locked() {
@@ -198,7 +230,8 @@ void Engine::check_quiescence_locked() {
   // No node is running and nothing is in flight. Classify the blocked set:
   // a waiter whose predicate already holds (message queued, channel drained
   // and closed, or a timeout already fired for it) just needs the CPU — the
-  // engine is not stuck.
+  // engine is not stuck. Callers wake_locked() afterwards, which signals
+  // that waiter, a timeout fired here, or everyone on deadlock.
   bool any_blocked = false;
   int fire = -1;
   double fire_deadline = std::numeric_limits<double>::infinity();
@@ -210,10 +243,7 @@ void Engine::check_quiescence_locked() {
     const bool wakeable = !mb.queue_.empty() ||
                           (mb.closed_ && mb.pending_events_ == 0) ||
                           slot.timed_out;
-    if (wakeable) {
-      cv_.notify_all();
-      return;
-    }
+    if (wakeable) return;
     if (slot.has_timeout) {
       const double deadline = slot.time + slot.timeout_budget;
       if (deadline < fire_deadline) {
@@ -228,7 +258,6 @@ void Engine::check_quiescence_locked() {
     // Quiescence proves no message can still arrive for this wait; fire the
     // earliest deadline (ties broken by node id via strict `<` above).
     nodes_[static_cast<std::size_t>(fire)].timed_out = true;
-    cv_.notify_all();
     return;
   }
 
@@ -251,15 +280,23 @@ void Engine::check_quiescence_locked() {
                                          obs::TraceArgs());
     }
   }
-  cv_.notify_all();
 }
 
 void Engine::await_grant_locked(int node) {
+  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+  bool resumed = false;
   for (;;) {
     throw_if_deadlocked_locked();
-    pump_locked();
-    if (granted_locked(node)) return;
-    cv_.wait(mutex_);
+    if (pump_locked()) wake_locked();
+    if (grant_holder_locked() == node) return;
+    if (resumed) ++wake_stats_.futile;
+    TEAMNET_CHECK_MSG(!slot.parked, "two threads waiting for node " << node);
+    slot.parked = true;
+    ++wake_stats_.parks;
+    wake_[static_cast<std::size_t>(node)].wait(mutex_);
+    slot.parked = false;
+    ++wake_stats_.resumes;
+    resumed = true;
   }
 }
 
@@ -283,7 +320,7 @@ std::string Engine::pop_locked(int node, Mailbox& mb) {
   record_locked('P', node, delivery.arrival, delivery.bytes.size());
   // The receiver's clock may have jumped forward, raising the pump horizon.
   pump_locked();
-  cv_.notify_all();
+  wake_locked();
   return std::move(delivery.bytes);
 }
 
@@ -297,7 +334,7 @@ double Engine::advance(int node, double seconds) {
   record_locked('A', node, slot.time, 0);
   policy_->note_step(node);
   pump_locked();
-  cv_.notify_all();
+  wake_locked();
   return slot.time;
 }
 
@@ -315,7 +352,7 @@ void Engine::retire(int node) {
   }
   pump_locked();
   check_quiescence_locked();
-  cv_.notify_all();
+  wake_locked();
 }
 
 std::shared_ptr<Mailbox> Engine::make_mailbox(int owner) {
@@ -368,13 +405,14 @@ void Engine::send(int from, const std::shared_ptr<Mailbox>& to,
   events_.push(Event{EventKey{arrival, to->owner(), next_seq_++}, to,
                      std::move(bytes), send_time});
   pump_locked();
-  cv_.notify_all();
+  wake_locked();
 }
 
 std::string Engine::recv(int node, Mailbox& mb) {
   check_node(node);
   MutexLock lock(mutex_);
   NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+  bool resumed = false;
   for (;;) {
     throw_if_deadlocked_locked();
     if (!mb.queue_.empty()) return pop_locked(node, mb);
@@ -388,13 +426,21 @@ std::string Engine::recv(int node, Mailbox& mb) {
     slot.waiting = &mb;
     pump_locked();
     check_quiescence_locked();
-    // pump/quiescence above may have satisfied this very wait (fired an
-    // event into `mb`, or declared deadlock); their notify happened before
-    // we could sleep, so re-check instead of waiting on a lost wakeup.
+    // Blocking raises the grant floor for other nodes, and pump/quiescence
+    // may have readied other waits. They may also have satisfied this very
+    // wait (fired an event into `mb`, or declared deadlock) before this
+    // thread parked, so re-check instead of waiting on a lost wakeup.
+    wake_locked();
     if (mb.queue_.empty() && !(mb.closed_ && mb.pending_events_ == 0) &&
         !deadlocked_) {
-      cv_.notify_all();  // blocking lowers the grant floor for other nodes
-      cv_.wait(mutex_);
+      if (resumed) ++wake_stats_.futile;
+      TEAMNET_CHECK_MSG(!slot.parked, "two threads waiting for node " << node);
+      slot.parked = true;
+      ++wake_stats_.parks;
+      wake_[static_cast<std::size_t>(node)].wait(mutex_);
+      slot.parked = false;
+      ++wake_stats_.resumes;
+      resumed = true;
     }
     slot.state = NodeState::kRunning;
     slot.waiting = nullptr;
@@ -408,6 +454,7 @@ std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
   MutexLock lock(mutex_);
   NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
   slot.timed_out = false;
+  bool resumed = false;
   for (;;) {
     throw_if_deadlocked_locked();
     if (!mb.queue_.empty()) return pop_locked(node, mb);
@@ -429,7 +476,7 @@ std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
             node, slot.time, "des.timeout_fired",
             obs::TraceArgs().arg("budget_s", budget));
       }
-      cv_.notify_all();
+      wake_locked();
       return std::nullopt;
     }
     slot.state = NodeState::kBlocked;
@@ -440,10 +487,17 @@ std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
     check_quiescence_locked();
     // Same lost-wakeup guard as recv, plus: quiescence may have fired this
     // node's own timeout just now.
+    wake_locked();
     if (mb.queue_.empty() && !(mb.closed_ && mb.pending_events_ == 0) &&
         !slot.timed_out && !deadlocked_) {
-      cv_.notify_all();
-      cv_.wait(mutex_);
+      if (resumed) ++wake_stats_.futile;
+      TEAMNET_CHECK_MSG(!slot.parked, "two threads waiting for node " << node);
+      slot.parked = true;
+      ++wake_stats_.parks;
+      wake_[static_cast<std::size_t>(node)].wait(mutex_);
+      slot.parked = false;
+      ++wake_stats_.resumes;
+      resumed = true;
     }
     slot.state = NodeState::kRunning;
     slot.waiting = nullptr;
@@ -456,7 +510,7 @@ void Engine::close(Mailbox& mb) {
   mb.closed_ = true;
   // Blocked readers re-check and throw once the queue and pending events
   // drain; nothing else changes, so no quiescence pass is needed here.
-  cv_.notify_all();
+  wake_locked();
 }
 
 }  // namespace teamnet::sim::des

@@ -20,6 +20,11 @@
 //     the earliest pending recv_timeout fires (charging its budget to the
 //     waiter's clock), and if no node holds a timeout the engine declares
 //     a deadlock with a diagnosable DeadlockError instead of hanging.
+//   * A waiting thread parks on its node's own wake slot, and a state
+//     change signals only the nodes whose wait can now complete (the
+//     grant holder, readers whose wake time is determined, everyone on
+//     deadlock). A node's engine calls therefore come from one thread at a
+//     time — the drivers' one-thread-per-node layout.
 //
 // The result: two same-seed runs produce bit-identical virtual traces —
 // ScenarioResult::latency_ms included — while tensor compute still
@@ -185,6 +190,19 @@ class Engine {
   /// readers get NetworkError; new sends fail immediately.
   void close(Mailbox& mb);
 
+  /// How often node threads parked on their wake slot and resumed from it,
+  /// and how many resumes were futile: the thread re-checked its wait
+  /// predicate, found nothing to do and parked again. `parks - resumes` is
+  /// the number of threads parked right now. A test-only view of wakeup
+  /// targeting; deliberately not a registry metric, so --metrics output is
+  /// unaffected.
+  struct WakeStats {
+    std::int64_t parks = 0;
+    std::int64_t resumes = 0;
+    std::int64_t futile = 0;
+  };
+  WakeStats wake_stats() const;
+
  private:
   enum class NodeState { kRunning, kBlocked, kRetired };
 
@@ -195,6 +213,9 @@ class Engine {
     bool has_timeout = false;          ///< blocked wait carries a budget
     double timeout_budget = 0.0;
     bool timed_out = false;  ///< quiescence fired this node's timeout
+    /// The node's thread is waiting on its wake slot and has not been
+    /// signalled since it parked (see wake_locked).
+    bool parked = false;
   };
 
   void check_node(int node) const;
@@ -204,13 +225,25 @@ class Engine {
   /// already in its mailbox, channel closed and drained, or timeout fired);
   /// +inf for nodes that are running, retired, or still genuinely waiting.
   double wake_time_locked(const NodeSlot& slot) const TN_REQUIRES(mutex_);
-  bool granted_locked(int node) const TN_REQUIRES(mutex_);
+  /// The one running node the grant rule currently admits, or -1 when the
+  /// policy's pick is a blocked node with a determined wake time (or no
+  /// node has a finite key). A node holds the grant iff it is this node;
+  /// wake_locked computes it once per state change.
+  int grant_holder_locked() const TN_REQUIRES(mutex_);
+  /// Signals every parked node whose own wait predicate now holds: the
+  /// grant holder, blocked readers with a determined wake time, and every
+  /// parked node once a deadlock is declared. Every path that changes
+  /// engine state calls this before it parks or returns; predicates are
+  /// re-checked by the woken thread, so a signal is never required to be
+  /// exact, only never missing.
+  void wake_locked() TN_REQUIRES(mutex_);
   /// Mixes one schedule-visible record into the digest (commutative sum —
   /// see schedule_digest()).
   void record_locked(std::uint64_t tag, int node, double time,
                      std::uint64_t extra) TN_REQUIRES(mutex_);
-  /// Fires every event due at or before the minimum running clock.
-  void pump_locked() TN_REQUIRES(mutex_);
+  /// Fires every event due at or before the minimum running clock; true if
+  /// any fired.
+  bool pump_locked() TN_REQUIRES(mutex_);
   /// At quiescence, fires the earliest pending timeout or declares
   /// deadlock. No-op while any node runs or any wait can self-resolve.
   void check_quiescence_locked() TN_REQUIRES(mutex_);
@@ -223,11 +256,14 @@ class Engine {
   /// mutex_ on granted operations (see GrantPolicy's purity contract).
   const std::unique_ptr<GrantPolicy> policy_;
   mutable Mutex mutex_;
-  CondVar cv_;
-  /// Scratch for granted_locked's eligible set (avoids an allocation per
-  /// grant check; only touched under mutex_).
+  /// One wake slot per node: each node's thread parks on its own CondVar,
+  /// so a state change signals only the nodes that can proceed.
+  std::unique_ptr<CondVar[]> wake_;
+  /// Scratch for grant_holder_locked's eligible set (avoids an allocation
+  /// per grant check; only touched under mutex_).
   mutable std::vector<int> eligible_ TN_GUARDED_BY(mutex_);
   std::vector<NodeSlot> nodes_ TN_GUARDED_BY(mutex_);
+  WakeStats wake_stats_ TN_GUARDED_BY(mutex_);
   EventQueue events_ TN_GUARDED_BY(mutex_);
   double medium_free_ TN_GUARDED_BY(mutex_) = 0.0;
   std::uint64_t next_seq_ TN_GUARDED_BY(mutex_) = 0;

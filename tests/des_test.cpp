@@ -235,6 +235,43 @@ TEST(DesEngine, GrantAdmitsMinimumTimeNodeOnly) {
   t1.join();
 }
 
+TEST(DesEngine, WakeupsSignalOnlyNodesThatCanProceed) {
+  // K=8 ring with staggered advances: every node advances, sends to its
+  // successor and receives from its predecessor. Most engine calls park,
+  // and a state change must resume only the node that can now proceed
+  // (the grant holder or a reader whose message landed). Waking every
+  // parked node instead makes most resumes futile — the thread finds its
+  // predicate still false and parks again. Counted, not timed.
+  constexpr int kNodes = 8;
+  constexpr int kRounds = 40;
+  Engine engine(kNodes);
+  std::vector<std::shared_ptr<sim::des::Mailbox>> mailboxes;
+  for (int n = 0; n < kNodes; ++n) mailboxes.push_back(engine.make_mailbox(n));
+  std::vector<std::thread> threads;
+  for (int n = 0; n < kNodes; ++n) {
+    threads.emplace_back([&engine, &mailboxes, n] {
+      const auto next = static_cast<std::size_t>((n + 1) % kNodes);
+      for (int round = 0; round < kRounds; ++round) {
+        engine.advance(n, 1e-3 * (n + 1));
+        engine.send(n, mailboxes[next], std::string(16, 'r'), test_link());
+        (void)engine.recv(n, *mailboxes[static_cast<std::size_t>(n)]);
+      }
+      engine.retire(n);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(engine.messages_delivered(), kNodes * kRounds);
+  const Engine::WakeStats stats = engine.wake_stats();
+  EXPECT_EQ(stats.parks, stats.resumes);  // nobody is left parked
+  ASSERT_GT(stats.resumes, kNodes * kRounds / 2);  // the ring really waits
+  // Targeted wakeups leave only races between a signal and the woken
+  // thread's re-check (measured: 0 futile in 200 runs, about 530 resumes
+  // each); waking every parked node makes most resumes futile (measured:
+  // 86-90%, about 4,200 resumes).
+  EXPECT_LT(stats.futile * 5, stats.resumes)
+      << stats.futile << " futile of " << stats.resumes << " resumes";
+}
+
 // ---- DesChannel + FaultyChannel composition ---------------------------------
 
 TEST(DesChannel, ComposesUnderFaultyChannelWithDeterministicSchedule) {

@@ -267,6 +267,129 @@ TEST(DesEngineRace, RingStressIsBitStableAcrossRuns) {
   }
 }
 
+// ---- DES wake paths ---------------------------------------------------------
+// Each engine state change signals only the parked nodes that can proceed.
+// These scenarios park a thread on one specific wake path and then make the
+// state change that must resume it, so a lost wakeup hangs the test. Each
+// runs in a loop to vary the real interleaving around the signal.
+
+constexpr int kWakeLoops = 20;
+
+net::LinkProfile wake_test_link() {
+  net::LinkProfile link;
+  link.latency_s = 0.001;
+  link.bandwidth_bps = 8000.0;  // 1 byte per millisecond of airtime
+  link.per_message_overhead_s = 0.002;
+  return link;
+}
+
+/// Spins until `n` node threads are parked on their wake slots.
+void await_parked(const sim::des::Engine& engine, std::int64_t n) {
+  for (;;) {
+    const sim::des::Engine::WakeStats s = engine.wake_stats();
+    if (s.parks - s.resumes >= n) return;
+    std::this_thread::yield();
+  }
+}
+
+TEST(DesEngineRace, AdvanceResumesWhenFloorNodeRetires) {
+  for (int loop = 0; loop < kWakeLoops; ++loop) {
+    sim::des::Engine engine(2);
+    engine.advance(0, 1.0);  // node 1 stays at t=0, the grant floor
+    std::thread waiter([&engine] { engine.advance(0, 0.5); });
+    await_parked(engine, 1);
+    engine.retire(1);
+    waiter.join();
+    EXPECT_EQ(engine.node_time(0), 1.5);
+    engine.retire(0);
+  }
+}
+
+TEST(DesEngineRace, SendResumesAfterBlockedPeerPopsItsDelivery) {
+  // Node 0 is parked in send at t=1 behind node 2 at t=0. When node 2
+  // retires, the pending delivery to node 1 fires: node 1's determined wake
+  // time (before t=1) now holds the grant floor, so node 0 stays parked
+  // until node 1's thread has popped it and blocked again.
+  for (int loop = 0; loop < kWakeLoops; ++loop) {
+    sim::des::Engine engine(3);
+    auto mb1 = engine.make_mailbox(1);
+    engine.advance(0, 1.0);
+    std::vector<std::string> got;
+    std::thread reader([&engine, &mb1, &got] {
+      got.push_back(engine.recv(1, *mb1));
+      got.push_back(engine.recv(1, *mb1));
+      engine.retire(1);
+    });
+    await_parked(engine, 1);  // node 1 blocked in recv
+    engine.send(2, mb1, "early", wake_test_link());
+    std::thread sender([&engine, &mb1] {
+      engine.send(0, mb1, "late", wake_test_link());
+      engine.retire(0);
+    });
+    await_parked(engine, 2);  // node 0 parked in send
+    engine.retire(2);
+    sender.join();
+    reader.join();
+    EXPECT_EQ(got, (std::vector<std::string>{"early", "late"}));
+    // "late" left at t=1: 2 ms overhead + 4 ms airtime + 1 ms latency.
+    EXPECT_DOUBLE_EQ(engine.node_time(1), 1.007);
+  }
+}
+
+TEST(DesEngineRace, DeadlockWakesEveryParkedNode) {
+  constexpr int kNodes = 3;
+  for (int loop = 0; loop < kWakeLoops; ++loop) {
+    sim::des::Engine engine(kNodes);
+    std::vector<std::shared_ptr<sim::des::Mailbox>> mailboxes;
+    for (int n = 0; n < kNodes; ++n) {
+      mailboxes.push_back(engine.make_mailbox(n));
+    }
+    std::vector<std::string> what(kNodes);
+    auto blocked_reader = [&engine, &mailboxes, &what](int node) {
+      try {
+        (void)engine.recv(node, *mailboxes[static_cast<std::size_t>(node)]);
+      } catch (const sim::des::DeadlockError& e) {
+        what[static_cast<std::size_t>(node)] = e.what();
+      }
+    };
+    std::vector<std::thread> threads;
+    threads.emplace_back(blocked_reader, 0);
+    threads.emplace_back(blocked_reader, 1);
+    // The last node to block declares the deadlock; the two parked before
+    // it must be woken with the same error.
+    await_parked(engine, 2);
+    threads.emplace_back(blocked_reader, 2);
+    for (auto& t : threads) t.join();
+    EXPECT_NE(what[0].find("deadlock"), std::string::npos);
+    EXPECT_EQ(what[0], what[1]);
+    EXPECT_EQ(what[0], what[2]);
+  }
+}
+
+TEST(DesEngineRace, CloseWakesReaderParkedInRecvTimeout) {
+  for (int loop = 0; loop < kWakeLoops; ++loop) {
+    sim::des::Engine engine(2);
+    auto mb1 = engine.make_mailbox(1);
+    std::atomic<bool> threw{false};
+    std::thread reader([&engine, &mb1, &threw] {
+      try {
+        (void)engine.recv_timeout(1, *mb1, 0.5);
+      } catch (const NetworkError&) {
+        threw.store(true);
+      }
+      engine.retire(1);
+    });
+    // Node 0 keeps running, so quiescence cannot fire the timeout: only
+    // the close can end the wait.
+    await_parked(engine, 1);
+    engine.close(*mb1);
+    reader.join();
+    EXPECT_TRUE(threw.load());
+    EXPECT_EQ(engine.node_time(1), 0.0);  // no budget charged
+    engine.retire(0);
+  }
+}
+
 TEST(ChannelRace, CloseDrainsQueuedMessagesFirst) {
   auto [a, b] = net::make_inproc_pair();
   a->send("one");
