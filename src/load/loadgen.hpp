@@ -1,14 +1,15 @@
-// Load-generation driver (DESIGN.md §14): feeds the real serving protocols
-// (TeamNet CollaborativeMaster, SG-MoE MoeMaster) with queries timed by a
-// seeded ArrivalProcess, entirely on the simulator's virtual clock.
+// Load runner (DESIGN.md §14): feeds the real serving protocols (TeamNet
+// CollaborativeMaster, SG-MoE MoeMaster) with queries timed by a seeded
+// ArrivalProcess, entirely on the simulator's virtual clock.
 //
-// The driver is the missing piece between the paper-scenario runners (one
-// query at a time, latency = mean service time) and a perf baseline: it
-// measures latency from ARRIVAL to completion, so queueing delay under an
-// open-loop overload shows up in the tail exactly as it would on a real
-// edge deployment. Under the discrete_event scheduler the whole run —
-// arrival instants, per-query latencies, the JSON a bench emits — is
-// byte-identical for a seed.
+// Where the paper-scenario runners issue queries back to back (latency =
+// mean service time), a load run paces the same fleet driver
+// (sim/driver.hpp) with an arrival process and measures latency from
+// ARRIVAL to completion, so queueing delay under an open-loop overload
+// shows up in the tail exactly as it would on a real edge deployment.
+// Under the discrete_event scheduler the whole run — arrival instants,
+// per-query latencies, the JSON a bench emits — is byte-identical for a
+// seed.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,6 @@ struct LoadConfig {
   /// Seed for query-row sampling (the arrival process seeds separately via
   /// arrival.seed, so traffic shape and traffic content vary independently).
   std::uint64_t query_seed = 7;
-  LatencyHistogram::Config histogram;
   /// > 0 bounds each gather with one shared deadline (master
   /// set_worker_timeout); 0 keeps the block-forever default.
   double worker_timeout_s = 0.0;

@@ -15,20 +15,12 @@
 #include <vector>
 
 #include "load/histogram.hpp"
+#include "sim/driver.hpp"
 
 namespace teamnet::load {
 
-/// One served query on the virtual clock. completion >= arrival always
-/// (service cannot precede the arrival that triggered it).
-struct QueryRecord {
-  double arrival_s = 0.0;
-  double completion_s = 0.0;
-  int row = -1;       ///< dataset row served
-  bool correct = false;
-  /// net::DegradationLevel the serving path reported for this query (0 =
-  /// full; SG-MoE reports 1 when local fallback recomputed any row).
-  int degradation = 0;
-};
+/// One served query on the virtual clock — the fleet driver's record.
+using QueryRecord = sim::QueryRecord;
 
 struct PhaseStats {
   std::int64_t queries = 0;        ///< records in this phase

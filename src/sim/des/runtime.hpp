@@ -67,8 +67,11 @@ class SimNet {
 /// ignores them. The default (canonical, seed 0) is byte-compatible with
 /// the historical two-argument factory.
 struct SimNetOptions {
+  /// Grant tie-break (DESIGN.md §11): the non-canonical policies perturb
+  /// which simultaneously eligible node acts first, so the explorer can
+  /// hunt for schedule-dependent outcomes.
   des::GrantPolicyKind grant_policy = des::GrantPolicyKind::canonical;
-  std::uint64_t schedule_seed = 0;
+  std::uint64_t schedule_seed = 0;  ///< seeds the non-canonical policies
   /// Eligibility window for the perturbing policies (virtual seconds; see
   /// des::GrantPolicy::slack). Ignored by canonical, so the default
   /// byte-identity guarantee is unaffected.

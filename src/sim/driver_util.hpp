@@ -1,46 +1,6 @@
-// Shared plumbing for protocol drivers over a SimNet mesh.
-//
-// Every driver that runs the real protocol threads inside the simulator —
-// the paper-scenario drivers in sim/scenario.cpp and the load-generation
-// plane in load/loadgen.cpp — needs the same four pieces: a worker-thread
-// wrapper that binds a trace track, absorbs protocol errors and always
-// retires its node (an unretired node stalls every pending delivery under
-// discrete_event), a compute hook that charges FLOPs to a node's virtual
-// clock, and the deterministic query sampling the latency loop replays.
-// They live here so the two drivers cannot drift apart on teardown or
-// clock-charging rules.
+// Forwards to sim/driver.hpp, which declares the serving driver's helpers
+// (make_compute_hook, sample_query_rows, query_row_tensor); kept for code
+// that includes this header.
 #pragma once
 
-#include <atomic>
-#include <functional>
-#include <thread>
-#include <vector>
-
-#include "data/dataset.hpp"
-#include "net/collab.hpp"
-#include "sim/des/runtime.hpp"
-#include "sim/device.hpp"
-
-namespace teamnet::sim {
-
-/// Spawns a protocol worker thread on `node`: binds an obs::TraceTrack to
-/// the node's virtual clock, runs `body`, logs (instead of escaping) any
-/// teamnet::Error from a closed channel, and retires the node on every
-/// exit path.
-std::thread spawn_sim_worker(SimNet& net, int node, std::function<void()> body);
-
-/// Compute hook that advances `node`'s virtual clock on `device` and, when
-/// `compute_total` is non-null, accumulates that node's compute seconds.
-net::ComputeHook make_compute_hook(SimNet& net, int node,
-                                   const DeviceProfile& device,
-                                   std::atomic<double>* compute_total);
-
-/// Picks `n` query rows from `test` (deterministic per seed) — the
-/// uniform-row sampling every scenario driver replays.
-std::vector<int> sample_query_rows(const data::Dataset& test, int n,
-                                   std::uint64_t seed);
-
-/// One-sample batch holding `test`'s row `row`.
-Tensor query_row_tensor(const data::Dataset& test, int row);
-
-}  // namespace teamnet::sim
+#include "sim/driver.hpp"

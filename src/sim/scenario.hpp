@@ -1,14 +1,16 @@
-// Scenario drivers: run each approach's real protocol over simulated WiFi
-// channels between simulated edge devices and report the paper's metrics
-// (per-query latency, accuracy, memory/CPU/GPU usage, traffic).
+// Paper-scenario runners: each approach's real protocol over simulated
+// WiFi channels between simulated edge devices, reporting the paper's
+// metrics (per-query latency, accuracy, memory/CPU/GPU usage, traffic).
 //
-// Every scenario executes the genuine distributed code path — the same
-// CollaborativeMaster/Worker, Communicator and partitioned executors that
-// run over real TCP in the examples — on real threads with in-process
-// channels. Latency is virtual time: compute advances a node's clock by
-// FLOPs / device throughput, messages advance the receiver by the WiFi
-// link model. Queries are issued sequentially with batch size 1, matching
-// the paper's per-inference measurements.
+// Every runner executes the genuine distributed code path — the same
+// CollaborativeMaster/Worker, MoeMaster, Communicator and partitioned
+// executors that run over real TCP in the examples — on real threads with
+// in-process channels. Latency is virtual time: compute advances a node's
+// clock by FLOPs / device throughput, messages advance the receiver by the
+// WiFi link model. Queries are issued back to back with batch size 1,
+// matching the paper's per-inference measurements. The TeamNet and SG-MoE
+// runners are projections of one sim::run_fleet stream (sim/driver.hpp);
+// the MPI runners keep their own rank-based loop.
 #pragma once
 
 #include <string>
@@ -17,7 +19,6 @@
 #include "data/dataset.hpp"
 #include "moe/sg_moe.hpp"
 #include "net/fault.hpp"
-#include "net/health.hpp"
 #include "nn/mlp.hpp"
 #include "nn/shake_shake.hpp"
 #include "sim/calibration.hpp"
@@ -27,26 +28,19 @@
 
 namespace teamnet::sim {
 
-struct ScenarioConfig {
+/// One scenario run's setup. The inherited SimNetOptions are the
+/// discrete-event schedule knobs (grant policy, schedule seed and slack),
+/// which free_running ignores.
+struct ScenarioConfig : SimNetOptions {
   DeviceProfile device = jetson_tx2_cpu();
   net::LinkProfile link = socket_link();
-  int num_queries = 40;    ///< latency-measurement queries (batch 1 each)
+  int num_queries = 40;    ///< latency-measurement queries (>= 1, batch 1)
   std::uint64_t seed = 123;
   /// free_running keeps the historical threads-plus-VirtualClock mode;
   /// discrete_event runs the same protocol under sim/des for bit-stable
   /// results (latency_ms included). Discrete outcomes — selection,
   /// accuracy, fault schedules, traffic counts — agree between the two.
   Scheduler scheduler = Scheduler::free_running;
-  /// Grant tie-break under discrete_event (DESIGN.md §11). The canonical
-  /// default reproduces the historical schedule byte for byte; the other
-  /// policies perturb which simultaneously eligible node acts first so the
-  /// explorer can hunt for schedule-dependent outcomes. Ignored under
-  /// free_running.
-  des::GrantPolicyKind grant_policy = des::GrantPolicyKind::canonical;
-  std::uint64_t schedule_seed = 0;  ///< seeds the non-canonical policies
-  /// Eligibility window for the non-canonical policies (virtual seconds;
-  /// see des::GrantPolicy::slack) — bounded medium-arbitration jitter.
-  double schedule_slack_s = 0.0;
 };
 
 struct ScenarioResult {
@@ -101,6 +95,19 @@ ScenarioResult run_mpi_branch(nn::ShakeShakeNet& model,
 ScenarioResult run_sg_moe(moe::SgMoe& model, const data::Dataset& test,
                           const ScenarioConfig& config);
 
+/// Protocol counters of a fleet run — the master's fleet, the workers and
+/// the fault links — reported by the chaos and resilience runners.
+struct FleetCounters {
+  std::int64_t stale_replies = 0;    ///< master's discarded stale replies
+  std::int64_t rejoins = 0;          ///< probed workers that came back
+  std::int64_t faults_injected = 0;  ///< total faults across all links
+  std::int64_t hedges_sent = 0;      ///< hedged re-issues to backups
+  std::int64_t hedge_wins = 0;       ///< hedges whose reply was used
+  std::int64_t hedge_duplicates = 0;  ///< both replicas answered
+  std::int64_t breaker_opens = 0;
+  std::int64_t expired_drops = 0;  ///< summed over workers and backups
+};
+
 /// Fault injection layered on the TeamNet scenario: every master<->worker
 /// link is wrapped in a net::FaultyChannel whose seed is forked per worker
 /// from `faults.seed`, so one seed reproduces the whole fleet's fault
@@ -130,14 +137,11 @@ struct ChaosConfig {
 /// `scenario.accuracy_pct` is accuracy over the chaos queries themselves
 /// (not the full test set): degraded queries answer with fewer experts, and
 /// that degradation is exactly what this scenario measures.
-struct ChaosResult {
+struct ChaosResult : FleetCounters {
   ScenarioResult scenario;
   std::vector<int> live_nodes;  ///< per query: master + workers in the live set
   std::vector<char> correct;    ///< per query: 1 = prediction was correct
-  std::int64_t stale_replies = 0;    ///< master's discarded stale replies
-  std::int64_t rejoins = 0;          ///< probed workers that came back
-  std::int64_t faults_injected = 0;  ///< total faults across all links
-  std::string fault_schedule;        ///< concatenated per-worker schedules
+  std::string fault_schedule;   ///< concatenated per-worker schedules
 };
 
 /// TeamNet's Figure-1 protocol under fault injection: same experts, same
@@ -152,8 +156,9 @@ ChaosResult run_teamnet_chaos(const std::vector<nn::Module*>& experts,
 
 /// Degradation-plane scenario (DESIGN.md §13): the chaos substrate plus the
 /// SLO machinery — deadline propagation with expired-request drops, quorum
-/// gather, per-worker circuit breakers and (optionally) one backup replica
-/// per worker for hedged dispatch.
+/// gather, per-worker circuit breakers (default net::HealthConfig) and
+/// optionally one backup replica per worker for hedged dispatch (hedge
+/// delay max(2 ms, 1.5 × the slowest outstanding worker's EWMA)).
 struct ResilienceConfig {
   net::FaultProfile faults;  ///< per-link fault model (seed forked per link)
 
@@ -164,19 +169,12 @@ struct ResilienceConfig {
   /// Spawn one backup replica node per worker expert and hedge to it. The
   /// backup links run the same fault model (independent streams).
   bool hedging = false;
-  double hedge_min_delay_s = 0.002;
-  double hedge_latency_factor = 1.5;
-  /// Per-worker health scoring + circuit breaker (net/health.hpp).
-  bool health = true;
-  net::HealthConfig health_config;
-  /// Workers drop Infer frames whose propagated deadline already expired.
-  bool drop_expired = true;
 };
 
 /// Per-query degradation telemetry on top of the usual scenario metrics.
 /// The three gather counters partition the queries
 /// (full + quorum + local_only == num_queries).
-struct ResilienceResult {
+struct ResilienceResult : FleetCounters {
   ScenarioResult scenario;
   std::vector<double> latency_ms;  ///< per query (virtual)
   double p50_ms = 0.0;             ///< median per-query latency
@@ -186,14 +184,6 @@ struct ResilienceResult {
   std::int64_t full_gathers = 0;
   std::int64_t quorum_gathers = 0;
   std::int64_t local_only_gathers = 0;
-  std::int64_t hedges_sent = 0;
-  std::int64_t hedge_wins = 0;
-  std::int64_t hedge_duplicates = 0;
-  std::int64_t breaker_opens = 0;
-  std::int64_t rejoins = 0;
-  std::int64_t stale_replies = 0;
-  std::int64_t expired_drops = 0;  ///< summed over workers and backups
-  std::int64_t faults_injected = 0;
 };
 
 /// TeamNet's Figure-1 protocol under fault injection with the degradation

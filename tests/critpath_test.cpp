@@ -33,7 +33,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/des/runtime.hpp"
-#include "sim/driver_util.hpp"
+#include "sim/driver.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet {
@@ -375,8 +375,14 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
         sim::make_compute_hook(*net, i, cfg.device, nullptr));
     workers.back()->set_time_source([netp, i] { return netp->node_time(i); });
     workers.back()->set_trace_node(i);
-    threads.push_back(sim::spawn_sim_worker(
-        *net, i, [w = workers.back().get()] { w->serve(); }));
+    threads.emplace_back([netp, i, w = workers.back().get()] {
+      try {
+        w->serve();
+      } catch (const Error&) {
+        // Closed channel at teardown.
+      }
+      netp->retire(i);
+    });
   }
 
   net::DelayFn delay = [netp](double seconds) { netp->advance(0, seconds); };

@@ -25,7 +25,7 @@
 #include "load/stats.hpp"
 #include "nn/mlp.hpp"
 #include "obs/percentile.hpp"
-#include "sim/driver_util.hpp"
+#include "sim/driver.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet {

@@ -51,7 +51,7 @@ struct Cli {
             << "usage: schedule_explore --scenario=NAME [options]\n"
             << "  --scenario=NAME       teamnet|mpi|sg-moe|chaos|resilience\n"
             << "  --seed=N              scenario seed (default 123)\n"
-            << "  --queries=N           queries per run (default 8)\n"
+            << "  --queries=N           queries per run, >= 1 (default 8)\n"
             << "  --schedules=N         perturbed schedules (default 50)\n"
             << "  --schedule-seed0=N    first schedule seed (default 1)\n"
             << "  --mutate              arm the pre-query-id gather mutant\n"
@@ -121,6 +121,8 @@ Cli parse(int argc, char** argv) {
       usage("unknown flag: " + arg);
     }
   }
+  // atoi reads a non-numeric value as 0, so this also rejects those.
+  if (cli.queries < 1) usage("--queries must be >= 1");
   if (!cli.trace_path.empty() && !cli.replay) {
     usage("--trace only applies to --replay (one schedule per trace file)");
   }
