@@ -13,7 +13,7 @@
 // them. The master IS the bottleneck, which is the paper's motivation for
 // keeping coordination cheap on the edge.
 //
-// Under --scheduler discrete_event (the default) every attribution
+// Under the discrete-event engine every attribution
 // telescopes bit-exactly (reconciled == queries, max_residual_ns == 0) and
 // both --json and --breakdown are byte-stable across same-seed runs; the
 // checked-in BENCH_breakdown.json freezes the flat --json rows, gated in

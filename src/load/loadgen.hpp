@@ -7,9 +7,8 @@
 // (sim/driver.hpp) with an arrival process and measures latency from
 // ARRIVAL to completion, so queueing delay under an open-loop overload
 // shows up in the tail exactly as it would on a real edge deployment.
-// Under the discrete_event scheduler the whole run — arrival instants,
-// per-query latencies, the JSON a bench emits — is byte-identical for a
-// seed.
+// The whole run — arrival instants, per-query latencies, the JSON a bench
+// emits — is byte-identical for a seed.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +76,10 @@ struct LoadResult {
   /// material for determinism tests and offline analysis.
   std::vector<QueryRecord> records;
   /// Exact latency attribution per query (same order as `records`;
-  /// records[i] is query id i+1). Under discrete_event both partitions of
-  /// every entry telescope bit-exactly to the record's latency.
+  /// records[i] is query id i+1). Both partitions of every entry
+  /// telescope bit-exactly to the record's latency.
   std::vector<obs::QueryAttribution> attributions;
-  std::uint64_t schedule_digest = 0;  ///< discrete_event only, 0 otherwise
+  std::uint64_t schedule_digest = 0;  ///< the engine's schedule fingerprint
 };
 
 /// Query rows for a load run: uniform when zipf_exponent <= 0 (identical to

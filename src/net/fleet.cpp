@@ -380,13 +380,14 @@ std::span<const Answer> WorkerFleet::gather(int quorum,
     hedge_at = t_sent_ + hedge_interval;
   }
   // The need-all wait rule: when every asked worker's answer is required
-  // and no hedge can fire, nothing is gained by looking at a later worker
-  // before an earlier one, so the loop blocks on the lowest-index pending
-  // worker for the rest of the deadline. That is what keeps a full gather
-  // deterministic under free_running: a timed wait that expires charges
-  // its whole budget to the virtual clock, and zero-budget drains take
-  // replies in real arrival order — a worker that is merely slow in REAL
-  // time must not cost virtual time or reorder the answers.
+  // and no hedge can fire, the gather cannot close before its slowest
+  // reply, so nothing is gained by looking at a later worker before an
+  // earlier one: the loop blocks on the lowest-index pending worker for
+  // the rest of the deadline. Polling would cost latency on real channels
+  // (the TCP serving path): a pass that finds nothing falls back to a
+  // timed wait on ONE source, so a reply landing on another worker sits
+  // unread until that slice ends. A blocking receive returns the moment
+  // its reply arrives and spends no CPU while waiting.
   const bool need_all = needed >= asked_count_ && !can_hedge;
 
   // The lowest-index source that can still produce a fresh ANSWER,
@@ -427,8 +428,8 @@ std::span<const Answer> WorkerFleet::gather(int quorum,
       continue;
     }
     // Quorum/hedge polling (DESIGN.md §13): poll every outstanding source
-    // round-robin with a zero budget. Under discrete_event a zero-budget
-    // receive blocks until quiescence and charges nothing, so the rotation
+    // round-robin with a zero budget. On a DES mesh a zero-budget receive
+    // blocks until quiescence and charges nothing, so the rotation
     // behaves like an ideal deterministic select over the outstanding
     // channels; the bounded no-progress wait at the bottom paces the loop
     // (and burns deadline budget, virtual time included) when every

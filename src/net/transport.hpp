@@ -4,18 +4,16 @@
 // and the MPI-style runtime run unchanged over:
 //   * InProc      — lock-free-enough in-process queues (tests, examples)
 //   * TCP         — real sockets (examples; see tcp.hpp)
-//   * Sim         — an InProc pair wrapped with virtual-clock accounting:
-//                   every send stamps the sender's virtual time, every recv
-//                   charges link latency + serialization delay (benches)
+//   * DES         — a mailbox pair in the discrete-event engine: every send
+//                   is priced by the link model and delivered in virtual-time
+//                   order (benches; see sim/des/des_channel.hpp)
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "net/virtual_clock.hpp"
 
 namespace teamnet::net {
 
@@ -45,17 +43,5 @@ using ChannelPtr = std::unique_ptr<Channel>;
 /// Creates a connected in-process channel pair: bytes sent on `first` are
 /// received on `second` and vice versa.
 std::pair<ChannelPtr, ChannelPtr> make_inproc_pair();
-
-/// Wraps `inner` with virtual-time accounting for one direction-pair:
-/// this endpoint is simulated node `self`, the peer is node `peer`.
-/// Each sent message is prefixed with the sender's virtual timestamp; each
-/// received message advances the receiver's clock by the link model.
-ChannelPtr make_sim_channel(ChannelPtr inner, VirtualClock& clock, int self,
-                            int peer, LinkProfile link);
-
-/// Creates a fully connected simulated mesh of `n` nodes over in-process
-/// pairs. mesh[i][j] is node i's channel to node j (nullptr for i == j).
-std::vector<std::vector<ChannelPtr>> make_sim_mesh(int n, VirtualClock& clock,
-                                                   const LinkProfile& link);
 
 }  // namespace teamnet::net

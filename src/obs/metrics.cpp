@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -39,7 +40,7 @@ void Histogram::observe(double value) {
   const auto bucket = static_cast<std::size_t>(it - upper_edges_.begin());
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  add_to_sum(value, 1);
 }
 
 void Histogram::observe_n(double value, std::int64_t n) {
@@ -49,7 +50,28 @@ void Histogram::observe_n(double value, std::int64_t n) {
   const auto bucket = static_cast<std::size_t>(it - upper_edges_.begin());
   buckets_[bucket].fetch_add(n, std::memory_order_relaxed);
   count_.fetch_add(n, std::memory_order_relaxed);
-  sum_.fetch_add(value * static_cast<double>(n), std::memory_order_relaxed);
+  add_to_sum(value, n);
+}
+
+namespace {
+constexpr double kSumFracScale = 4294967296.0;  // 2^32 fractions per unit
+}  // namespace
+
+void Histogram::add_to_sum(double value, std::int64_t n) {
+  // Also rejects NaN and infinities; below 2^62 the whole part fits int64.
+  TEAMNET_CHECK_MSG(std::fabs(value) < 0x1p62,
+                    "histogram value out of range: " << value);
+  const double whole = std::floor(value);
+  const auto frac = std::llround((value - whole) * kSumFracScale);
+  sum_whole_.fetch_add(static_cast<std::int64_t>(whole) * n,
+                       std::memory_order_relaxed);
+  sum_frac_.fetch_add(frac * n, std::memory_order_relaxed);
+}
+
+double Histogram::sum() const {
+  return static_cast<double>(sum_whole_.load(std::memory_order_relaxed)) +
+         static_cast<double>(sum_frac_.load(std::memory_order_relaxed)) /
+             kSumFracScale;
 }
 
 std::vector<std::int64_t> Histogram::bucket_counts() const {

@@ -10,7 +10,8 @@
 //   Gauge      last-write-wins double (atomic store/load).
 //   Histogram  fixed bucket upper edges set at creation; observe() is one
 //              atomic increment on the bucket found by binary search, plus
-//              a CAS-add into the running sum.
+//              integer adds into a fixed-point running sum, so the sum does
+//              not depend on the order concurrent observers add in.
 //   Series     append-only vector of doubles under a leaf mutex — for
 //              per-iteration training curves (gate γ̄, objective), where
 //              the full sequence IS the result and updates are off the
@@ -86,7 +87,7 @@ class Histogram {
   void observe_n(double value, std::int64_t n);
 
   std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  double sum() const;
   const std::vector<double>& upper_edges() const { return upper_edges_; }
   /// Per-bucket counts; index upper_edges().size() is the overflow bucket.
   std::vector<std::int64_t> bucket_counts() const;
@@ -95,7 +96,13 @@ class Histogram {
   const std::vector<double> upper_edges_;
   std::unique_ptr<std::atomic<std::int64_t>[]> buckets_;
   std::atomic<std::int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  /// The running sum in fixed point: whole units plus 2^-32 fractions.
+  /// Integer addition is associative, so the sum is the same whatever
+  /// order threads observe in; a double accumulator is not.
+  std::atomic<std::int64_t> sum_whole_{0};
+  std::atomic<std::int64_t> sum_frac_{0};
+
+  void add_to_sum(double value, std::int64_t n);
 };
 
 class Series {

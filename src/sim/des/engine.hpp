@@ -8,8 +8,9 @@
 //   * Each node's thread must hold the GRANT (be the lexicographic minimum
 //     (virtual_time, node_id) among running nodes, with no deliverable
 //     event at or before its clock) to advance its clock or transmit.
-//   * A send arbitrates the shared half-duplex medium with exactly
-//     VirtualClock's math and enqueues a delivery event keyed by
+//   * A send arbitrates the shared half-duplex medium (airtime from
+//     max(send_time, medium_free), arrival one propagation latency after
+//     it leaves the medium) and enqueues a delivery event keyed by
 //     (arrival_time, destination_node, schedule_seq) — the global
 //     tie-break rule that makes event order total and deterministic.
 //   * An event fires (message moves into its destination mailbox) only
@@ -31,15 +32,13 @@
 // overlaps in real time (only engine calls are serialized, not the math
 // between them).
 //
-// Virtual timeouts deserve a note. In free-running mode a recv_timeout
-// waits REAL seconds, so a message actually in flight always beats the
-// deadline (real waits are microseconds); a timeout only ever fires for a
-// message that never comes. The engine reproduces that contract in virtual
-// time: a pending delivery is always handed over before a timeout is
-// considered, and a timeout fires only at quiescence — when provably no
-// message can still arrive. This is what keeps discrete outcomes
-// (selection, fault handling, traffic counts) identical across the two
-// scheduler modes.
+// Virtual timeouts deserve a note. Over a real channel a message already
+// in flight beats a recv_timeout deadline (real transfers take
+// microseconds); a timeout fires only for a message that never comes. The
+// engine keeps that contract in virtual time: a pending delivery is always
+// handed over before a timeout is considered, and a timeout fires only at
+// quiescence — when provably no message can still arrive. So a simulated
+// gather fails a worker for the same reason a TCP gather would.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +51,7 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
-#include "net/virtual_clock.hpp"
+#include "net/link.hpp"
 #include "sim/des/grant_policy.hpp"
 
 namespace teamnet::sim::des {
@@ -151,7 +150,7 @@ class Engine {
   /// master retired); the explorer checks this as a protocol invariant.
   int unretired_nodes() const;
 
-  // -- clock surface (mirrors net::VirtualClock) ----------------------------
+  // -- clock surface --------------------------------------------------------
   double node_time(int node) const;
   double max_time() const;
   /// Advances `node` by `seconds` of local work, in virtual-time order:
@@ -173,7 +172,7 @@ class Engine {
   std::shared_ptr<Mailbox> make_mailbox(int owner);
   /// Transmits `bytes` from `from` into `to` under the grant: arbitrates
   /// the shared medium at the sender's current clock (the sender's clock
-  /// does not advance — matching SimChannel) and schedules the delivery.
+  /// does not advance) and schedules the delivery.
   void send(int from, const std::shared_ptr<Mailbox>& to, std::string bytes,
             const net::LinkProfile& link);
   /// Blocks until a message is available in `mb`, then pops it, advancing

@@ -77,50 +77,47 @@ FleetRun run_fleet(const FleetSpec& spec, const data::Dataset& test,
   // Before any node exists: each run gets its own track epoch so its
   // restarted virtual clock never rewinds a previous run's trace rows.
   obs::Tracer::instance().begin_epoch(spec.epoch);
-  auto net = make_sim_net(config.scheduler, num_nodes, config.link, config);
-  SimNet* netp = net.get();
-  const auto master_clock = [netp] { return netp->node_time(0); };
+  SimNet net(num_nodes, config.link, config);
+  const auto master_clock = [&net] { return net.node_time(0); };
 
   // Serving nodes read their own virtual clock, so propagated deadlines
   // compare against the time base the master stamped them in. The fault
   // layer wraps every master-side leg; delay faults advance the master's
-  // clock instead of sleeping, and under discrete_event the timeout
-  // budgets burn virtual time too (real-clock remainders differ run to
-  // run). Flow tracing and trace nodes need every flow to pair, which a
-  // dropped request would break, so they are on only without faults.
+  // clock instead of sleeping, and its timeout budgets are measured on the
+  // master's clock too (real-clock remainders differ run to run). Flow
+  // tracing and trace nodes need every flow to pair, which a dropped
+  // request would break, so they are on only without faults.
   std::vector<std::unique_ptr<net::CollaborativeWorker>> workers;
   std::vector<std::unique_ptr<net::FaultyChannel>> links;
   std::vector<net::Channel*> primaries;
   std::vector<net::Channel*> backups;
   Rng seeder(spec.faults ? spec.faults->profile.seed : 0);
-  const net::DelayFn delay = [netp](double s) { netp->advance(0, s); };
+  const net::DelayFn delay = [&net](double s) { net.advance(0, s); };
   for (int node = 1; node < num_nodes; ++node) {
     const auto e = static_cast<std::size_t>(node < k ? node : node - k + 1);
     auto& w = *workers.emplace_back(std::make_unique<net::CollaborativeWorker>(
-        *spec.experts[e], net->channel(node, 0)));
-    w.set_compute_hook(make_compute_hook(*net, node, spec.devices[e], nullptr));
-    w.set_time_source([netp, node] { return netp->node_time(node); });
+        *spec.experts[e], net.channel(node, 0)));
+    w.set_compute_hook(make_compute_hook(net, node, spec.devices[e], nullptr));
+    w.set_time_source([&net, node] { return net.node_time(node); });
     w.set_drop_expired(spec.health);
     net::Channel* channel = nullptr;
     if (spec.faults) {
       net::FaultProfile profile = spec.faults->profile;
       profile.seed = seeder.fork(static_cast<std::uint64_t>(node)).engine()();
       auto& link = *links.emplace_back(std::make_unique<net::FaultyChannel>(
-          net->take_channel(0, node), profile, delay));
-      if (config.scheduler == Scheduler::discrete_event) {
-        link.set_time_source(master_clock);
-      }
+          net.take_channel(0, node), profile, delay));
+      link.set_time_source(master_clock);
       channel = &link;
     } else {
       w.set_trace_node(node);
-      channel = &net->channel(0, node);
+      channel = &net.channel(0, node);
     }
     (node < k ? primaries : backups).push_back(channel);
   }
 
   double master_compute = 0.0;
   const auto master_hook =
-      make_compute_hook(*net, 0, spec.devices[0], &master_compute);
+      make_compute_hook(net, 0, spec.devices[0], &master_compute);
   std::unique_ptr<net::CollaborativeMaster> team;
   std::unique_ptr<moe::MoeMaster> routed;
   if (spec.moe != nullptr) {
@@ -164,26 +161,26 @@ FleetRun run_fleet(const FleetSpec& spec, const data::Dataset& test,
   // Each worker thread binds a trace track to its node's clock, logs
   // (instead of escaping) the error a closed channel raises, and retires
   // its node on every exit path: an unretired node stalls every pending
-  // delivery under discrete_event.
+  // delivery.
   std::vector<std::thread> threads;
   for (int node = 1; node < num_nodes; ++node) {
     auto* w = workers[static_cast<std::size_t>(node - 1)].get();
-    threads.emplace_back([netp, node, w] {
+    threads.emplace_back([&net, node, w] {
       obs::TraceTrack track(
-          node, [netp, node] { return netp->node_time(node); },
+          node, [&net, node] { return net.node_time(node); },
           "node" + std::to_string(node));
       try {
         w->serve();
       } catch (const Error& e) {
         LOG_WARN("scenario worker thread exiting on error: " << e.what());
       }
-      netp->retire(node);
+      net.retire(node);
     });
   }
 
   FleetRun run;
-  const std::int64_t bytes_before = net->bytes_delivered();
-  const std::int64_t msgs_before = net->messages_delivered();
+  const std::int64_t bytes_before = net.bytes_delivered();
+  const std::int64_t msgs_before = net.messages_delivered();
   try {
     for (std::size_t q = 0; q < spec.rows.size(); ++q) {
       const int qi = static_cast<int>(q);
@@ -197,11 +194,11 @@ FleetRun run_fleet(const FleetSpec& spec, const data::Dataset& test,
       }
       QueryRecord& record = run.records.emplace_back();
       record.row = spec.rows[q];
-      const double now = net->node_time(0);
+      const double now = net.node_time(0);
       record.arrival_s = now;
       if (spec.pacer) {
         record.arrival_s = spec.pacer(now);
-        if (record.arrival_s > now) net->advance(0, record.arrival_s - now);
+        if (record.arrival_s > now) net.advance(0, record.arrival_s - now);
         arrivals->increment();
         obs::trace_instant("load.arrival");
       }
@@ -218,7 +215,7 @@ FleetRun run_fleet(const FleetSpec& spec, const data::Dataset& test,
         prediction = r.predictions[0];
         record.degradation = r.fallback_rows > 0 ? 1 : 0;
       }
-      record.completion_s = net->node_time(0);
+      record.completion_s = net.node_time(0);
       if (spec.pacer) {
         completions->increment();
         latency_ms->observe(1e3 * (record.completion_s - record.arrival_s));
@@ -233,27 +230,27 @@ FleetRun run_fleet(const FleetSpec& spec, const data::Dataset& test,
     recorder.stop();
     recorder.take();
     for (auto& link : links) link->close();
-    net->close_all();
-    net->retire(0);
+    net.close_all();
+    net.retire(0);
     for (auto& t : threads) t.join();
     throw;
   }
   // Fault-free traffic is final once the loop ends. Under faults it is
   // counted after the quiesce and join, so it is deterministic and
   // includes the quiesce Ping/Pong pairs and the Shutdown messages.
-  std::int64_t bytes = net->bytes_delivered() - bytes_before;
-  std::int64_t messages = net->messages_delivered() - msgs_before;
+  std::int64_t bytes = net.bytes_delivered() - bytes_before;
+  std::int64_t messages = net.messages_delivered() - msgs_before;
   for (auto& link : links) quiesce(*link);
   fleet.shutdown();  // closes every channel, waking every worker
-  net->retire(0);
+  net.retire(0);
   for (auto& t : threads) t.join();
   recorder.stop();
   const std::vector<obs::QueryTimeline> timelines = recorder.take();
   ScenarioResult& result = run.scenario;
-  result.schedule_digest = net->finish();
+  result.schedule_digest = net.finish();
   if (spec.faults) {
-    bytes = net->bytes_delivered() - bytes_before;
-    messages = net->messages_delivered() - msgs_before;
+    bytes = net.bytes_delivered() - bytes_before;
+    messages = net.messages_delivered() - msgs_before;
   }
 
   // Query ids are the master's monotone sequence from 1, so records[q] is

@@ -98,7 +98,7 @@ struct FleetRun {
   std::string fault_schedule;  ///< per-link schedules, "worker <node>:"
 };
 
-/// Runs `spec` on `config`'s mesh, link and scheduler. Every node thread is
+/// Runs `spec` over `config`'s link and schedule knobs. Every node thread is
 /// joined before it returns or rethrows.
 FleetRun run_fleet(const FleetSpec& spec, const data::Dataset& test,
                    const ScenarioConfig& config);

@@ -6,6 +6,7 @@
 
 #include "common/annotations.hpp"
 #include "core/entropy.hpp"
+#include "mpi/decentralized.hpp"
 #include "mpi/partitioned.hpp"
 #include "nn/loss.hpp"
 #include "obs/percentile.hpp"
@@ -162,15 +163,18 @@ namespace {
 /// Shared runner for the MPI executors: spins `num_nodes` rank threads.
 /// Each rank builds its executor once via `make_runner(comm, hook)` and
 /// then, per query, receives the input bcast from rank 0 and runs it.
+/// Latency is rank 0's clock over the run. Usage is rank 0's, holding
+/// `rank0_share` of `rank0_model`'s working set; the caller fills in
+/// accuracy.
 template <typename MakeRunner>
 ScenarioResult run_mpi_generic(const std::string& approach, int num_nodes,
                                const data::Dataset& test,
                                const ScenarioConfig& config,
-                               nn::Module& model_for_metrics,
+                               nn::Module& rank0_model, double rank0_share,
                                MakeRunner make_runner) {
-  model_for_metrics.set_training(false);  // before any rank thread starts
+  rank0_model.set_training(false);  // before any rank thread starts
   obs::Tracer::instance().begin_epoch(approach);
-  auto net = make_sim_net(config.scheduler, num_nodes, config.link, config);
+  SimNet net(num_nodes, config.link, config);
 
   const auto queries = sample_query_rows(test, config.num_queries, config.seed);
   double rank0_compute = 0.0;
@@ -180,11 +184,11 @@ ScenarioResult run_mpi_generic(const std::string& approach, int num_nodes,
                                      nullptr);
     for (int r = 0; r < num_nodes; ++r) {
       if (r != rank) {
-        peers[static_cast<std::size_t>(r)] = &net->channel(rank, r);
+        peers[static_cast<std::size_t>(r)] = &net.channel(rank, r);
       }
     }
     mpi::Communicator comm(rank, peers);
-    net::ComputeHook hook = make_compute_hook(*net, rank, config.device,
+    net::ComputeHook hook = make_compute_hook(net, rank, config.device,
                                       rank == 0 ? &rank0_compute : nullptr);
     auto run_query = make_runner(comm, hook);
     for (int row : queries) {
@@ -198,8 +202,8 @@ ScenarioResult run_mpi_generic(const std::string& approach, int num_nodes,
   // A rank that throws records the first error and closes the mesh so the
   // surviving ranks (blocked in collectives) fail fast instead of
   // deadlocking; every thread is always joined before the error resurfaces.
-  // Each rank retires on exit, error or not, so remaining ranks' deliveries
-  // keep flowing under discrete_event.
+  // Each rank retires on exit, error or not, so remaining ranks'
+  // deliveries keep flowing.
   // `error_mutex` (leaf lock) guards `first_error`; both are stack locals
   // whose lifetime spans every rank thread, joined below before either is
   // read. Locals cannot carry TN_GUARDED_BY, so the annotated wrappers
@@ -208,7 +212,7 @@ ScenarioResult run_mpi_generic(const std::string& approach, int num_nodes,
   std::exception_ptr first_error;
   auto rank_guarded = [&](int rank) {
     obs::TraceTrack track(
-        rank, [&net, rank] { return net->node_time(rank); },
+        rank, [&net, rank] { return net.node_time(rank); },
         "rank" + std::to_string(rank));
     try {
       rank_main(rank);
@@ -217,14 +221,14 @@ ScenarioResult run_mpi_generic(const std::string& approach, int num_nodes,
         MutexLock lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
-      net->close_all();
+      net.close_all();
     }
-    net->retire(rank);
+    net.retire(rank);
   };
 
-  const std::int64_t bytes_before = net->bytes_delivered();
-  const std::int64_t msgs_before = net->messages_delivered();
-  const double t0 = net->node_time(0);
+  const std::int64_t bytes_before = net.bytes_delivered();
+  const std::int64_t msgs_before = net.messages_delivered();
+  const double t0 = net.node_time(0);
   std::vector<std::thread> threads;
   for (int r = 1; r < num_nodes; ++r) {
     threads.emplace_back(rank_guarded, r);
@@ -232,27 +236,42 @@ ScenarioResult run_mpi_generic(const std::string& approach, int num_nodes,
   rank_guarded(0);
   for (auto& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
-  const double total_latency = net->node_time(0) - t0;
+  const double total_latency = net.node_time(0) - t0;
 
   ScenarioResult result;
-  result.schedule_digest = net->finish();
+  result.schedule_digest = net.finish();
   result.approach = approach;
   result.num_nodes = num_nodes;
   result.latency_ms = 1e3 * total_latency / config.num_queries;
-  result.accuracy_pct = model_accuracy_pct(model_for_metrics, test);
-  const double share = 1.0 / num_nodes;  // rank 0 holds 1/K of the weights
   result.usage = estimate_resources(
       config.device,
       static_cast<std::int64_t>(
-          share * static_cast<double>(model_working_set_bytes(
-                      model_for_metrics, test.sample_shape()))),
+          rank0_share * static_cast<double>(model_working_set_bytes(
+                            rank0_model, test.sample_shape()))),
       rank0_compute / total_latency);
   result.bytes_per_query =
-      static_cast<double>(net->bytes_delivered() - bytes_before) /
+      static_cast<double>(net.bytes_delivered() - bytes_before) /
       config.num_queries;
   result.messages_per_query =
-      static_cast<double>(net->messages_delivered() - msgs_before) /
+      static_cast<double>(net.messages_delivered() - msgs_before) /
       config.num_queries;
+  return result;
+}
+
+/// A row-, kernel- or branch-partitioned run of one model: rank 0 holds
+/// 1/K of the weights, and accuracy is the whole model's.
+template <typename Executor, typename Model>
+ScenarioResult run_mpi_partitioned(const std::string& approach,
+                                   int num_nodes, Model& model,
+                                   const data::Dataset& test,
+                                   const ScenarioConfig& config) {
+  ScenarioResult result = run_mpi_generic(
+      approach, num_nodes, test, config, model, 1.0 / num_nodes,
+      [&model](mpi::Communicator& comm, const net::ComputeHook& hook) {
+        return [executor = std::make_shared<Executor>(model, comm, hook)](
+                   const Tensor& x) { executor->infer(x); };
+      });
+  result.accuracy_pct = model_accuracy_pct(model, test);
   return result;
 }
 
@@ -260,39 +279,40 @@ ScenarioResult run_mpi_generic(const std::string& approach, int num_nodes,
 
 ScenarioResult run_mpi_matrix(nn::MlpNet& model, const data::Dataset& test,
                               const ScenarioConfig& config, int num_nodes) {
-  return run_mpi_generic(
-      "MPI-Matrix", num_nodes, test, config, model,
-      [&model](mpi::Communicator& comm, const net::ComputeHook& hook) {
-        return [executor = std::make_shared<mpi::MpiMatrixMlp>(model, comm,
-                                                               hook)](
-                   const Tensor& x) { executor->infer(x); };
-      });
+  return run_mpi_partitioned<mpi::MpiMatrixMlp>("MPI-Matrix", num_nodes,
+                                                model, test, config);
 }
 
 ScenarioResult run_mpi_kernel(nn::ShakeShakeNet& model,
                               const data::Dataset& test,
                               const ScenarioConfig& config, int num_nodes) {
-  return run_mpi_generic(
-      "MPI-Kernel", num_nodes, test, config, model,
-      [&model](mpi::Communicator& comm, const net::ComputeHook& hook) {
-        return [executor = std::make_shared<mpi::MpiKernelShakeShake>(
-                    model, comm, hook)](const Tensor& x) {
-          executor->infer(x);
-        };
-      });
+  return run_mpi_partitioned<mpi::MpiKernelShakeShake>(
+      "MPI-Kernel", num_nodes, model, test, config);
 }
 
 ScenarioResult run_mpi_branch(nn::ShakeShakeNet& model,
                               const data::Dataset& test,
                               const ScenarioConfig& config) {
-  return run_mpi_generic(
-      "MPI-Branch", 2, test, config, model,
-      [&model](mpi::Communicator& comm, const net::ComputeHook& hook) {
-        return [executor = std::make_shared<mpi::MpiBranchShakeShake>(
-                    model, comm, hook)](const Tensor& x) {
-          executor->infer(x);
+  return run_mpi_partitioned<mpi::MpiBranchShakeShake>("MPI-Branch", 2, model,
+                                                       test, config);
+}
+
+ScenarioResult run_mpi_decentralized(const std::vector<nn::Module*>& experts,
+                                     const data::Dataset& test,
+                                     const ScenarioConfig& config) {
+  for (nn::Module* expert : experts) expert->set_training(false);
+  ScenarioResult result = run_mpi_generic(
+      "TeamNet-decentralized", static_cast<int>(experts.size()), test, config,
+      *experts[0], 1.0,
+      [&experts](mpi::Communicator& comm, const net::ComputeHook& hook) {
+        nn::Module& expert = *experts[static_cast<std::size_t>(comm.rank())];
+        return [&comm, &expert, hook](const Tensor& x) {
+          mpi::decentralized_infer(comm, expert, x, hook);
+          comm.barrier();  // every node knows the answer past this point
         };
       });
+  result.accuracy_pct = argmin_entropy_accuracy_pct(experts, test);
+  return result;
 }
 
 ScenarioResult run_sg_moe(moe::SgMoe& model, const data::Dataset& test,

@@ -4,13 +4,13 @@
 //
 // Every runner executes the genuine distributed code path — the same
 // CollaborativeMaster/Worker, MoeMaster, Communicator and partitioned
-// executors that run over real TCP in the examples — on real threads with
-// in-process channels. Latency is virtual time: compute advances a node's
-// clock by FLOPs / device throughput, messages advance the receiver by the
-// WiFi link model. Queries are issued back to back with batch size 1,
-// matching the paper's per-inference measurements. The TeamNet and SG-MoE
-// runners are projections of one sim::run_fleet stream (sim/driver.hpp);
-// the MPI runners keep their own rank-based loop.
+// executors that run over real TCP in the examples — on real threads over
+// the discrete-event engine's channels. Latency is virtual time: compute
+// advances a node's clock by FLOPs / device throughput, messages advance
+// the receiver by the WiFi link model. Queries are issued back to back
+// with batch size 1, matching the paper's per-inference measurements. The
+// TeamNet and SG-MoE runners are projections of one sim::run_fleet stream
+// (sim/driver.hpp); the MPI runners share one rank-based loop.
 #pragma once
 
 #include <string>
@@ -29,18 +29,15 @@
 namespace teamnet::sim {
 
 /// One scenario run's setup. The inherited SimNetOptions are the
-/// discrete-event schedule knobs (grant policy, schedule seed and slack),
-/// which free_running ignores.
+/// discrete-event schedule knobs (grant policy, schedule seed and slack).
 struct ScenarioConfig : SimNetOptions {
   DeviceProfile device = jetson_tx2_cpu();
   net::LinkProfile link = socket_link();
   int num_queries = 40;    ///< latency-measurement queries (>= 1, batch 1)
   std::uint64_t seed = 123;
-  /// free_running keeps the historical threads-plus-VirtualClock mode;
-  /// discrete_event runs the same protocol under sim/des for bit-stable
-  /// results (latency_ms included). Discrete outcomes — selection,
-  /// accuracy, fault schedules, traffic counts — agree between the two.
-  Scheduler scheduler = Scheduler::free_running;
+  /// Always discrete_event; read by nothing. Kept only for
+  /// perfbench/workloads.cpp, which still assigns it (see Scheduler).
+  Scheduler scheduler = Scheduler::discrete_event;
 };
 
 struct ScenarioResult {
@@ -51,9 +48,9 @@ struct ScenarioResult {
   ResourceUsage usage;            ///< master/rank-0 node
   double bytes_per_query = 0.0;
   double messages_per_query = 0.0;
-  /// Engine fingerprint of the schedule that produced this result (0 under
-  /// free_running). Not part of the benchmark JSON — used by the schedule
-  /// explorer to prove a replayed counterexample is bit-identical.
+  /// Engine fingerprint of the schedule that produced this result. Not
+  /// part of the benchmark JSON — used by the schedule explorer to prove a
+  /// replayed counterexample is bit-identical.
   std::uint64_t schedule_digest = 0;
 };
 
@@ -89,6 +86,15 @@ ScenarioResult run_mpi_kernel(nn::ShakeShakeNet& model,
 ScenarioResult run_mpi_branch(nn::ShakeShakeNet& model,
                               const data::Dataset& test,
                               const ScenarioConfig& config);
+
+/// TeamNet with decentralized selection (mpi/decentralized.hpp): rank 0
+/// broadcasts each query, every rank runs its expert and allgathers
+/// (prediction, entropy) summaries, then all ranks barrier. Latency is rank
+/// 0's clock after that barrier, the point at which every node knows the
+/// answer. `experts` are non-owning; rank i serves experts[i].
+ScenarioResult run_mpi_decentralized(const std::vector<nn::Module*>& experts,
+                                     const data::Dataset& test,
+                                     const ScenarioConfig& config);
 
 /// Distributed SG-MoE: gate + expert 0 on the master, one expert per worker
 /// node. The link (gRPC vs MPI flavour) comes from `config.link`.
@@ -189,8 +195,8 @@ struct ResilienceResult : FleetCounters {
 /// TeamNet's Figure-1 protocol under fault injection with the degradation
 /// plane enabled. Topology: master (node 0) + workers 1..K-1; with
 /// `res.hedging` also one backup replica of worker i's expert on node
-/// K-1+i. Deterministic for a fixed (config, res) under discrete_event —
-/// byte-identical across same-seed runs, results included.
+/// K-1+i. Deterministic for a fixed (config, res) — byte-identical across
+/// same-seed runs, results included.
 ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
                                         const data::Dataset& test,
                                         const ScenarioConfig& config,

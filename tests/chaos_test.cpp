@@ -22,6 +22,7 @@
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
+#include "sim/des/runtime.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet {
@@ -220,44 +221,43 @@ TEST(ChaosProtocol, StaleReplyIsDiscardedNotConsumed) {
 }
 
 /// The gather budget is shared: with every worker dead, the master waits
-/// ONE deadline of virtual time, not one per worker. Uses a sim mesh with
-/// the virtual clock as the master's time source and no serving threads.
+/// ONE deadline of virtual time, not one per worker. Uses a DES mesh with
+/// the master's virtual clock as its time source and every worker node
+/// retired without serving.
 TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   const int k = 4;
   const double timeout_s = 0.05;
-  net::VirtualClock clock(k);
-  auto mesh = net::make_sim_mesh(k, clock, latency_only_link());
+  sim::SimNet net(k, latency_only_link());
+  for (int i = 1; i < k; ++i) net.retire(i);
 
   Rng rng(12);
   nn::MlpNet expert(tiny_mlp(), rng);
   std::vector<net::Channel*> channels;
-  for (int i = 1; i < k; ++i) {
-    channels.push_back(mesh[0][static_cast<std::size_t>(i)].get());
-  }
+  for (int i = 1; i < k; ++i) channels.push_back(&net.channel(0, i));
   net::CollaborativeMaster master(expert, channels);
   master.set_worker_timeout(timeout_s);
-  master.fleet().set_time_source([&clock] { return clock.node_time(0); });
+  master.fleet().set_time_source([&net] { return net.node_time(0); });
 
   Tensor x = Tensor::randn({1, 6}, rng);
-  const double t0 = clock.node_time(0);
+  const double t0 = net.node_time(0);
   auto result = master.infer(x);
-  const double waited = clock.node_time(0) - t0;
+  const double waited = net.node_time(0) - t0;
 
   EXPECT_EQ(master.failed_workers(), k - 1);
   EXPECT_EQ(result.chosen[0], 0);
   // The first worker's timeout consumes the whole budget; the others are
-  // polled with a zero remainder. Budget <= wait < 1.5 budgets — nowhere
-  // near the (k-1) * budget a per-worker deadline would burn.
-  EXPECT_GE(waited, timeout_s * 0.999);
-  EXPECT_LT(waited, timeout_s * 1.5);
+  // polled with a zero remainder, which charges nothing — exactly one
+  // budget, nowhere near the (k-1) * budget a per-worker deadline would
+  // burn.
+  EXPECT_EQ(waited, timeout_s);
+  net.retire(0);
 }
 
-/// Full gather under free-running simulation: a worker that is slow in
-/// REAL time (its compute hook sleeps) must cost the master no virtual
-/// time. The gather blocks on the worker for the rest of the deadline
-/// instead of pacing itself with short timed waits — under free_running a
-/// timed wait that expires charges its whole budget to the virtual clock,
-/// so every expiry would add to `latency`.
+/// Full gather on a DES mesh: a worker that is slow in REAL time (its
+/// compute hook sleeps) must cost the master no virtual time. The gather
+/// blocks on the worker until its reply arrives, and the reply's arrival
+/// is a pure function of virtual time, so every query's latency matches a
+/// run whose worker never sleeps.
 TEST(ChaosProtocol, FullGatherChargesNoVirtualTimeForRealTimeSlowWorker) {
   Rng rng(14);
   nn::MlpNet master_expert(tiny_mlp(), rng);
@@ -265,25 +265,27 @@ TEST(ChaosProtocol, FullGatherChargesNoVirtualTimeForRealTimeSlowWorker) {
   Tensor x = Tensor::randn({1, 6}, rng);
 
   auto run = [&](std::chrono::milliseconds real_delay) {
-    net::VirtualClock clock(2);
-    auto mesh = net::make_sim_mesh(2, clock, latency_only_link());
-    net::CollaborativeWorker worker(worker_expert, *mesh[1][0]);
-    worker.set_compute_hook([&clock, real_delay](std::int64_t) {
-      clock.advance(1, 0.002);
+    sim::SimNet net(2, latency_only_link());
+    net::CollaborativeWorker worker(worker_expert, net.channel(1, 0));
+    worker.set_compute_hook([&net, real_delay](std::int64_t) {
+      net.advance(1, 0.002);
       std::this_thread::sleep_for(real_delay);
     });
-    std::thread t([&worker] { worker.serve(); });
-    net::CollaborativeMaster master(master_expert, {mesh[0][1].get()});
-    master.set_compute_hook(
-        [&clock](std::int64_t) { clock.advance(0, 0.001); });
-    master.fleet().set_time_source([&clock] { return clock.node_time(0); });
+    std::thread t([&net, &worker] {
+      worker.serve();
+      net.retire(1);
+    });
+    net::CollaborativeMaster master(master_expert, {&net.channel(0, 1)});
+    master.set_compute_hook([&net](std::int64_t) { net.advance(0, 0.001); });
+    master.fleet().set_time_source([&net] { return net.node_time(0); });
     std::vector<double> latency;
     for (int q = 0; q < 3; ++q) {
-      const double t0 = clock.node_time(0);
+      const double t0 = net.node_time(0);
       master.infer(x);
-      latency.push_back(clock.node_time(0) - t0);
+      latency.push_back(net.node_time(0) - t0);
     }
     master.shutdown();
+    net.retire(0);
     t.join();
     return latency;
   };
@@ -370,13 +372,9 @@ std::vector<nn::Module*> expert_ptrs(
   return ptrs;
 }
 
-/// Duplication-only faults: no drops means no timeouts, so everything
-/// discrete — schedule, outcomes, accuracy, traffic — must be
-/// bit-identical. Latency alone gets a tolerance: the nodes are
-/// free-running threads, and the VirtualClock's shared-medium cursor makes
-/// each message's airtime slot depend on the real-time order concurrent
-/// sends reach the medium (see DESIGN.md, "Fault model & recovery"), so
-/// virtual latency jitters by a link latency even with no faults at all.
+/// Duplication-only faults: no drops means no timeouts, and the whole
+/// result — schedule, outcomes, accuracy, traffic and latency — must be
+/// bit-identical across same-seed runs.
 TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   auto experts = make_experts(3);
   auto test = blobs();
@@ -387,10 +385,7 @@ TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   sim::ChaosConfig chaos;
   chaos.faults.seed = chaos_seed();
   chaos.faults.duplicate_prob = 0.3;
-  // No drops, so no reply should ever miss the deadline — but the budget
-  // is measured in REAL seconds while waiting, and a sanitizer build on a
-  // loaded CI box can stall a worker thread long enough to miss a tight
-  // one, which would desync the two runs. Generous budget, never spent.
+  // No drops, so no reply ever misses this generous budget.
   chaos.worker_timeout_s = 5.0;
   chaos.probe_interval = 2;
 
@@ -408,15 +403,13 @@ TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   EXPECT_DOUBLE_EQ(a.scenario.bytes_per_query, b.scenario.bytes_per_query);
   EXPECT_DOUBLE_EQ(a.scenario.messages_per_query,
                    b.scenario.messages_per_query);
-  EXPECT_NEAR(a.scenario.latency_ms, b.scenario.latency_ms,
-              0.25 * (a.scenario.latency_ms + 1.0));
+  EXPECT_EQ(a.scenario.latency_ms, b.scenario.latency_ms);
 }
 
 /// Determinism under drops + corruption + a scripted partition: the fault
-/// schedule and every discrete outcome must reproduce exactly. Latency is
-/// compared with a tolerance only: a timed-out wait charges the measured
-/// real remainder (budget minus scheduling epsilon) to the virtual clock,
-/// which jitters at sub-millisecond scale run to run.
+/// schedule, every discrete outcome and the latency must reproduce
+/// exactly. A timed-out wait charges its virtual budget, never a measured
+/// real remainder.
 TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   auto experts = make_experts(3);
   auto test = blobs();
@@ -428,13 +421,10 @@ TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   chaos.faults.seed = chaos_seed();
   chaos.faults.drop_prob = 0.25;
   chaos.faults.corrupt_prob = 0.1;
-  // Dropped replies cost a real wait of the full budget, so keep it small
-  // enough for test wall-clock — but big enough that a loaded sanitizer
-  // build can't make a LIVE worker's reply miss it (which would desync
-  // the runs). A failed worker stays failed here, so the budget is spent
-  // at most once per worker per run.
+  // A failed worker stays failed here (probation off), so the budget is
+  // spent at most once per worker per run.
   chaos.worker_timeout_s = 0.25;
-  chaos.probe_interval = 0;  // probation off: rejoin timing is real-time-racy
+  chaos.probe_interval = 0;
   chaos.partition_worker = 1;
   chaos.partition_from_query = 4;
   chaos.heal_at_query = 8;
@@ -449,28 +439,24 @@ TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   EXPECT_EQ(a.stale_replies, b.stale_replies);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_DOUBLE_EQ(a.scenario.accuracy_pct, b.scenario.accuracy_pct);
-  EXPECT_NEAR(a.scenario.latency_ms, b.scenario.latency_ms,
-              0.1 * (a.scenario.latency_ms + 1.0));
+  EXPECT_EQ(a.scenario.latency_ms, b.scenario.latency_ms);
 }
 
 /// Rejoin inside the simulated scenario: a worker partitioned for a window
-/// of queries must be back in the live set by the end of the run. Runs
-/// under discrete_event, where probation's zero-budget Pong poll waits for
-/// quiescence: under free_running it races the healed worker's thread, and
-/// on a loaded host the Pong could miss every remaining query. Free-running
-/// rejoin is covered by
-/// ChaosProtocol.PartitionedWorkerRejoinsAndMatchesBaseline.
+/// of queries must be back in the live set by the end of the run.
+/// Probation's zero-budget Pong poll waits for quiescence, so the healed
+/// worker's Pong is always seen. Rejoin over real-time channels is covered
+/// by ChaosProtocol.PartitionedWorkerRejoinsAndMatchesBaseline.
 TEST(ChaosScenario, ScriptedPartitionHealsAndRejoins) {
   auto experts = make_experts(3);
   auto test = blobs();
   sim::ScenarioConfig cfg;
   cfg.num_queries = 20;
   cfg.link = latency_only_link();
-  cfg.scheduler = sim::Scheduler::discrete_event;
 
   sim::ChaosConfig chaos;
   chaos.faults.seed = chaos_seed();
-  chaos.worker_timeout_s = 0.25;  // loaded-CI headroom for live replies
+  chaos.worker_timeout_s = 0.25;
   chaos.probe_interval = 1;
   chaos.partition_worker = 0;
   chaos.partition_from_query = 4;

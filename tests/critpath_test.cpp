@@ -261,7 +261,6 @@ sim::ScenarioConfig des_config() {
   sim::ScenarioConfig cfg;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = determinism_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   return cfg;
 }
 
@@ -363,16 +362,16 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
   const auto test = blob_test_set();
   const auto experts = make_experts(k);
   const sim::ScenarioConfig cfg = des_config();
-  auto net = sim::make_sim_net(cfg.scheduler, k, cfg.link, sim::SimNetOptions{});
-  sim::SimNet* netp = net.get();
+  sim::SimNet net(k, cfg.link);
+  sim::SimNet* netp = &net;
 
   std::vector<std::thread> threads;
   std::vector<std::unique_ptr<net::CollaborativeWorker>> workers;
   for (int i = 1; i < k; ++i) {
     workers.push_back(std::make_unique<net::CollaborativeWorker>(
-        *experts[static_cast<std::size_t>(i)], net->channel(i, 0)));
+        *experts[static_cast<std::size_t>(i)], net.channel(i, 0)));
     workers.back()->set_compute_hook(
-        sim::make_compute_hook(*net, i, cfg.device, nullptr));
+        sim::make_compute_hook(net, i, cfg.device, nullptr));
     workers.back()->set_time_source([netp, i] { return netp->node_time(i); });
     workers.back()->set_trace_node(i);
     threads.emplace_back([netp, i, w = workers.back().get()] {
@@ -387,15 +386,15 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
 
   net::DelayFn delay = [netp](double seconds) { netp->advance(0, seconds); };
   auto faulty = std::make_unique<net::FaultyChannel>(
-      net->take_channel(0, k - 1), profile, delay);
+      net.take_channel(0, k - 1), profile, delay);
   faulty->set_time_source([netp] { return netp->node_time(0); });
   std::vector<net::Channel*> worker_channels;
-  for (int i = 1; i < k - 1; ++i) worker_channels.push_back(&net->channel(0, i));
+  for (int i = 1; i < k - 1; ++i) worker_channels.push_back(&net.channel(0, i));
   worker_channels.push_back(faulty.get());
 
   net::CollaborativeMaster master(*experts[0], worker_channels);
   master.set_compute_hook(
-      sim::make_compute_hook(*net, 0, cfg.device, nullptr));
+      sim::make_compute_hook(net, 0, cfg.device, nullptr));
   master.fleet().set_time_source([netp] { return netp->node_time(0); });
   if (worker_timeout_s > 0.0) master.set_worker_timeout(worker_timeout_s);
   if (quorum > 0) master.set_gather_quorum(quorum);
@@ -411,14 +410,14 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
   }
   master.shutdown();
   faulty->close();
-  net->close_all();
-  net->retire(0);
+  net.close_all();
+  net.retire(0);
   for (auto& t : threads) t.join();
   recorder.stop();
   for (const auto& tl : recorder.take()) {
     out.attributions.push_back(obs::attribute(tl));
   }
-  net->finish();
+  net.finish();
   return out;
 }
 

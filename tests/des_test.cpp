@@ -1,9 +1,9 @@
-// Discrete-event engine tests (ISSUE 4): event-queue tie-breaking,
-// quiescence / deadlock detection, virtual timeouts, FaultyChannel
-// composition over DesChannel, and the cross-mode contract — free_running
-// and discrete_event agree on every discrete outcome (selection, accuracy,
-// traffic counts, fault schedules) for the same seed, while discrete_event
-// is additionally bit-stable in latency.
+// Discrete-event engine tests: event-queue tie-breaking,
+// quiescence / deadlock detection, virtual timeouts, link timing, and
+// FaultyChannel composition over DesChannel. The DesCrossMode suite keeps
+// the ids it had when a second, free-running scheduler existed to compare
+// against; each test now pins a same-seed repeat of one scenario driver,
+// whole result and schedule digest included.
 
 #include <gtest/gtest.h>
 
@@ -77,29 +77,87 @@ net::LinkProfile test_link() {
   return link;
 }
 
-TEST(DesEngine, DeliveryReplaysVirtualClockMath) {
-  // The same send sequence, issued to the engine and to a VirtualClock,
-  // must produce identical receiver clocks and medium arbitration.
+TEST(DesEngine, ComputeAdvancesOneNode) {
+  Engine engine(2);
+  EXPECT_EQ(engine.advance(0, 1.5), 1.5);
+  EXPECT_EQ(engine.node_time(0), 1.5);
+  EXPECT_EQ(engine.node_time(1), 0.0);
+  EXPECT_EQ(engine.max_time(), 1.5);
+  EXPECT_THROW(engine.advance(0, -1.0), InvariantError);
+}
+
+TEST(DesEngine, DeliveryImposesLinkDelay) {
+  Engine engine(2);
+  auto mb = engine.make_mailbox(1);
+  const net::LinkProfile link{0.001, 8e6, 0.0};  // 1 ms prop + 1 us/byte
+  engine.advance(0, 2.0);
+  engine.advance(1, 2.0);  // node 0 wins the t=2 tie and may transmit
+  engine.send(0, mb, std::string(1000, 'x'), link);
+  engine.retire(0);
+  EXPECT_EQ(engine.recv(1, *mb).size(), 1000u);
+  EXPECT_NEAR(engine.node_time(1), 2.0 + 0.001 + 0.001, 1e-9);
+  EXPECT_EQ(engine.bytes_delivered(), 1000);
+  EXPECT_EQ(engine.messages_delivered(), 1);
+}
+
+TEST(DesEngine, SharedMediumSerializesConcurrentTransmissions) {
+  // Two messages sent at the same instant contend for the half-duplex
+  // medium: the second transmission starts only after the first's airtime.
+  Engine engine(3);
+  auto to1 = engine.make_mailbox(1);
+  auto to2 = engine.make_mailbox(2);
+  const net::LinkProfile link{0.001, 8e6, 0.0};  // 1 ms airtime per 1000 B
+  std::vector<double> at1;
+  double at2 = 0.0;
+  std::thread node1([&] {
+    for (int i = 0; i < 2; ++i) {
+      engine.recv(1, *to1);
+      at1.push_back(engine.node_time(1));
+    }
+    engine.retire(1);
+  });
+  std::thread node2([&] {
+    engine.recv(2, *to2);
+    at2 = engine.node_time(2);
+    engine.retire(2);
+  });
+  engine.send(0, to1, std::string(1000, 'a'), link);
+  engine.send(0, to2, std::string(1000, 'b'), link);
+  engine.advance(0, 10.0);
+  engine.send(0, to1, std::string(1000, 'c'), link);
+  engine.retire(0);
+  node1.join();
+  node2.join();
+  ASSERT_EQ(at1.size(), 2u);
+  EXPECT_NEAR(at1[0], 0.002, 1e-9);
+  EXPECT_NEAR(at2, 0.003, 1e-9) << "second message waits for the medium";
+  // A later send on an idle medium pays no contention.
+  EXPECT_NEAR(at1[1], 10.002, 1e-9);
+}
+
+TEST(DesEngine, DeliveryMatchesClosedFormArrivals) {
+  // Back-to-back sends: each leaves the medium after its airtime and
+  // arrives one propagation latency later; the second starts only when the
+  // first frees the medium.
   const net::LinkProfile link = test_link();
   Engine engine(2);
   auto mb = engine.make_mailbox(1);
   engine.advance(0, 0.5);
   engine.advance(1, 0.5);  // grant order: node 1 must catch up before node 0
                            // may transmit at t=0.5
-  engine.send(0, mb, std::string(10, 'x'), link);  // back-to-back: the
-  engine.send(0, mb, std::string(20, 'y'), link);  // second waits for the medium
+  engine.send(0, mb, std::string(10, 'x'), link);
+  engine.send(0, mb, std::string(20, 'y'), link);
   engine.retire(0);
   EXPECT_EQ(engine.recv(1, *mb).size(), 10u);
   const double t_first = engine.node_time(1);
   EXPECT_EQ(engine.recv(1, *mb).size(), 20u);
   const double t_second = engine.node_time(1);
 
-  net::VirtualClock clock(2);
-  clock.advance(0, 0.5);
-  const double a_first = clock.deliver(1, 0.5, 10, link);
-  const double a_second = clock.deliver(1, 0.5, 20, link);
-  EXPECT_EQ(t_first, a_first);
-  EXPECT_EQ(t_second, a_second);
+  const double air_first = link.transfer_time(10) - link.latency_s;
+  const double air_second = link.transfer_time(20) - link.latency_s;
+  const double second_start = 0.5 + air_first;
+  EXPECT_EQ(t_first, 0.5 + air_first + link.latency_s);
+  EXPECT_EQ(t_second, second_start + air_second + link.latency_s);
   EXPECT_EQ(engine.bytes_delivered(), 30);
   EXPECT_EQ(engine.messages_delivered(), 2);
 }
@@ -336,31 +394,31 @@ std::vector<nn::Module*> expert_ptrs(
   return ptrs;
 }
 
-sim::ScenarioConfig fast_config(sim::Scheduler scheduler) {
+sim::ScenarioConfig fast_config() {
   sim::ScenarioConfig cfg;
   cfg.num_queries = 12;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
-  cfg.scheduler = scheduler;
   return cfg;
+}
+
+/// Same-seed repeat: the whole result, latency and schedule digest
+/// included, must be bit-identical.
+void expect_same_result(const sim::ScenarioResult& a,
+                        const sim::ScenarioResult& b) {
+  EXPECT_EQ(a.num_nodes, b.num_nodes);
+  EXPECT_EQ(a.latency_ms, b.latency_ms);
+  EXPECT_EQ(a.accuracy_pct, b.accuracy_pct);
+  EXPECT_EQ(a.bytes_per_query, b.bytes_per_query);
+  EXPECT_EQ(a.messages_per_query, b.messages_per_query);
+  EXPECT_EQ(a.schedule_digest, b.schedule_digest);
 }
 
 TEST(DesCrossMode, TeamNetDiscreteOutcomesMatchFreeRunning) {
   const auto experts = make_experts(3);
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
-  const auto des =
-      sim::run_teamnet(ptrs, test, fast_config(sim::Scheduler::discrete_event));
-  const auto des2 =
-      sim::run_teamnet(ptrs, test, fast_config(sim::Scheduler::discrete_event));
-  const auto free_run =
-      sim::run_teamnet(ptrs, test, fast_config(sim::Scheduler::free_running));
-  // DES is bit-stable, latency included.
-  EXPECT_EQ(des.latency_ms, des2.latency_ms);
-  // Both modes agree on every discrete outcome.
-  EXPECT_EQ(des.num_nodes, free_run.num_nodes);
-  EXPECT_EQ(des.accuracy_pct, free_run.accuracy_pct);
-  EXPECT_EQ(des.bytes_per_query, free_run.bytes_per_query);
-  EXPECT_EQ(des.messages_per_query, free_run.messages_per_query);
+  expect_same_result(sim::run_teamnet(ptrs, test, fast_config()),
+                     sim::run_teamnet(ptrs, test, fast_config()));
 }
 
 TEST(DesCrossMode, MpiMatrixDiscreteOutcomesMatchFreeRunning) {
@@ -372,16 +430,8 @@ TEST(DesCrossMode, MpiMatrixDiscreteOutcomesMatchFreeRunning) {
   Rng rng(7);
   nn::MlpNet model(cfg, rng);
   const auto test = blob_test_set();
-  const auto des = sim::run_mpi_matrix(
-      model, test, fast_config(sim::Scheduler::discrete_event), 3);
-  const auto des2 = sim::run_mpi_matrix(
-      model, test, fast_config(sim::Scheduler::discrete_event), 3);
-  const auto free_run = sim::run_mpi_matrix(
-      model, test, fast_config(sim::Scheduler::free_running), 3);
-  EXPECT_EQ(des.latency_ms, des2.latency_ms);
-  EXPECT_EQ(des.accuracy_pct, free_run.accuracy_pct);
-  EXPECT_EQ(des.bytes_per_query, free_run.bytes_per_query);
-  EXPECT_EQ(des.messages_per_query, free_run.messages_per_query);
+  expect_same_result(sim::run_mpi_matrix(model, test, fast_config(), 3),
+                     sim::run_mpi_matrix(model, test, fast_config(), 3));
 }
 
 TEST(DesCrossMode, SgMoeDiscreteOutcomesMatchFreeRunning) {
@@ -398,16 +448,8 @@ TEST(DesCrossMode, SgMoeDiscreteOutcomesMatchFreeRunning) {
   });
   const auto test = blob_test_set();
   model.train(test);
-  const auto des =
-      sim::run_sg_moe(model, test, fast_config(sim::Scheduler::discrete_event));
-  const auto des2 =
-      sim::run_sg_moe(model, test, fast_config(sim::Scheduler::discrete_event));
-  const auto free_run =
-      sim::run_sg_moe(model, test, fast_config(sim::Scheduler::free_running));
-  EXPECT_EQ(des.latency_ms, des2.latency_ms);
-  EXPECT_EQ(des.accuracy_pct, free_run.accuracy_pct);
-  EXPECT_EQ(des.bytes_per_query, free_run.bytes_per_query);
-  EXPECT_EQ(des.messages_per_query, free_run.messages_per_query);
+  expect_same_result(sim::run_sg_moe(model, test, fast_config()),
+                     sim::run_sg_moe(model, test, fast_config()));
 }
 
 std::string chaos_signature(const sim::ChaosResult& r) {
@@ -434,20 +476,15 @@ TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDropsAndPartition) {
   chaos.faults.drop_prob = 0.25;
   chaos.faults.corrupt_prob = 0.1;
   chaos.worker_timeout_s = 0.25;
-  chaos.probe_interval = 0;  // probes race real time; keep them out of the
-                             // cross-mode comparison
+  chaos.probe_interval = 0;
   chaos.partition_worker = 0;
   chaos.partition_from_query = 4;
   chaos.heal_at_query = 8;
-  const auto des = sim::run_teamnet_chaos(
-      ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto des2 = sim::run_teamnet_chaos(
-      ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto free_run = sim::run_teamnet_chaos(
-      ptrs, test, fast_config(sim::Scheduler::free_running), chaos);
-  EXPECT_EQ(des.scenario.latency_ms, des2.scenario.latency_ms);
-  EXPECT_EQ(chaos_signature(des), chaos_signature(des2));
-  EXPECT_EQ(chaos_signature(des), chaos_signature(free_run));
+  const auto a = sim::run_teamnet_chaos(ptrs, test, fast_config(), chaos);
+  const auto b = sim::run_teamnet_chaos(ptrs, test, fast_config(), chaos);
+  EXPECT_FALSE(a.fault_schedule.empty());
+  EXPECT_EQ(chaos_signature(a), chaos_signature(b));
+  expect_same_result(a.scenario, b.scenario);
 }
 
 TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDuplication) {
@@ -457,13 +494,13 @@ TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDuplication) {
   sim::ChaosConfig chaos;
   chaos.faults.seed = 42;
   chaos.faults.duplicate_prob = 0.3;
-  chaos.worker_timeout_s = 5.0;  // generous: no worker ever actually fails,
-  chaos.probe_interval = 2;      // so the probe path stays idle in both modes
-  const auto des = sim::run_teamnet_chaos(
-      ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto free_run = sim::run_teamnet_chaos(
-      ptrs, test, fast_config(sim::Scheduler::free_running), chaos);
-  EXPECT_EQ(chaos_signature(des), chaos_signature(free_run));
+  chaos.worker_timeout_s = 5.0;  // generous: no worker ever actually fails
+  chaos.probe_interval = 2;
+  const auto a = sim::run_teamnet_chaos(ptrs, test, fast_config(), chaos);
+  const auto b = sim::run_teamnet_chaos(ptrs, test, fast_config(), chaos);
+  EXPECT_FALSE(a.fault_schedule.empty());
+  EXPECT_EQ(chaos_signature(a), chaos_signature(b));
+  expect_same_result(a.scenario, b.scenario);
 }
 
 }  // namespace

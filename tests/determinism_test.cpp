@@ -113,7 +113,6 @@ sim::ScenarioConfig des_config() {
   cfg.num_queries = 8;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = determinism_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   return cfg;
 }
 
@@ -194,6 +193,17 @@ TEST(Determinism, MpiMatrix) {
   const auto a = sim::run_mpi_matrix(model, test, des_config(), 3);
   const auto b = sim::run_mpi_matrix(model, test, des_config(), 3);
   EXPECT_EQ(result_bytes(a), result_bytes(b));
+}
+
+TEST(Determinism, MpiDecentralized) {
+  const auto experts = make_experts(3);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  const auto a = sim::run_mpi_decentralized(ptrs, test, des_config());
+  const auto b = sim::run_mpi_decentralized(ptrs, test, des_config());
+  EXPECT_EQ(result_bytes(a), result_bytes(b));
+  EXPECT_NE(a.schedule_digest, 0u);
+  EXPECT_EQ(a.schedule_digest, b.schedule_digest);
 }
 
 TEST(Determinism, MpiKernel) {

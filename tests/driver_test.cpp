@@ -1,9 +1,9 @@
 // The one serving driver (sim/driver.hpp) seen through its entry points:
 // a query count below 1 is rejected before any node thread starts, and an
 // error raised mid-run reaches the caller through the driver's one
-// teardown path with every node thread joined — under both schedulers. A
-// thread left joinable would std::terminate this process, and a worker
-// left blocked would hang it, so reaching the assertions is the check.
+// teardown path with every node thread joined. A thread left joinable
+// would std::terminate this process, and a worker left blocked would hang
+// it, so reaching the assertions is the check.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -92,7 +92,6 @@ class DriverTeardown : public ::testing::TestWithParam<sim::Scheduler> {
     sim::ScenarioConfig cfg;
     cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
     cfg.num_queries = 8;
-    cfg.scheduler = GetParam();
     return cfg;
   }
 
@@ -148,12 +147,13 @@ TEST_P(DriverTeardown, LoadRunRethrowsAndJoins) {
   });
 }
 
+// One instantiation: the test ids keep the scheduler suffix they had when
+// the suite also ran a free-running scheduler.
 INSTANTIATE_TEST_SUITE_P(
     Schedulers, DriverTeardown,
-    ::testing::Values(sim::Scheduler::discrete_event,
-                      sim::Scheduler::free_running),
-    [](const ::testing::TestParamInfo<sim::Scheduler>& info) {
-      return std::string(sim::to_string(info.param));
+    ::testing::Values(sim::Scheduler::discrete_event),
+    [](const ::testing::TestParamInfo<sim::Scheduler>&) {
+      return std::string("discrete_event");
     });
 
 /// Every entry point that replays `num_queries` rows rejects 0 and -1 with
@@ -177,7 +177,6 @@ TEST(QueryCount, EveryEntryPointRejectsCountsBelowOne) {
   for (const int n : {0, -1}) {
     SCOPED_TRACE("num_queries = " + std::to_string(n));
     sim::ScenarioConfig cfg;
-    cfg.scheduler = sim::Scheduler::discrete_event;
     cfg.num_queries = n;
     const std::vector<sim::DeviceProfile> devices(experts.size(), cfg.device);
     EXPECT_THROW(sim::run_teamnet(experts, test, cfg), InvariantError);

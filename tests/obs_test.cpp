@@ -77,6 +77,18 @@ TEST(Metrics, HistogramBucketsByUpperEdgeWithOverflow) {
   EXPECT_DOUBLE_EQ(hist.sum(), 0.5 + 1.0 + 3.0 + 9.0);
 }
 
+/// Concurrent observers add in whatever order the threads run, so the sum
+/// must not depend on it. A double accumulator does: 1e16 + 1 rounds back
+/// to 1e16, while 1 + 1 + 1e16 keeps the 2.
+TEST(Metrics, HistogramSumIsIndependentOfObservationOrder) {
+  obs::Histogram forward({1.0});
+  obs::Histogram backward({1.0});
+  for (const double v : {1e16, 1.0, 1.0, 0.1, 0.2}) forward.observe(v);
+  for (const double v : {0.2, 0.1, 1.0, 1.0, 1e16}) backward.observe(v);
+  EXPECT_EQ(forward.sum(), backward.sum());
+  EXPECT_EQ(forward.sum(), 1e16 + 2.0);
+}
+
 TEST(Metrics, HistogramRejectsNonIncreasingEdges) {
   EXPECT_THROW(obs::Histogram({1.0, 1.0}), Error);
   EXPECT_THROW(obs::Histogram({2.0, 1.0}), Error);
@@ -306,7 +318,6 @@ std::string traced_teamnet_json() {
   cfg.num_queries = 8;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = determinism_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   sim::run_teamnet(ptrs, test, cfg);
 
   std::string json = tracer.to_json();

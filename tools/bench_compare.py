@@ -177,7 +177,7 @@ def self_test():
          {"experiment": "loadgen_sweep", "scheduler": "discrete_event",
           "results": []}, _fixture(), False),
         ("scheduler mode must match", _fixture(),
-         dict(_fixture(), scheduler="free_running"), False),
+         dict(_fixture(), scheduler="wall_clock"), False),
     ]
     failures = 0
     for name, base, fresh, should_pass in cases:

@@ -52,7 +52,7 @@ struct Cli {
             << "  --scenario=NAME       teamnet|mpi|sg-moe|chaos|resilience\n"
             << "  --seed=N              scenario seed (default 123)\n"
             << "  --queries=N           queries per run, >= 1 (default 8)\n"
-            << "  --schedules=N         perturbed schedules (default 50)\n"
+            << "  --schedules=N         perturbed schedules, >= 1 (default 50)\n"
             << "  --schedule-seed0=N    first schedule seed (default 1)\n"
             << "  --mutate              arm the pre-query-id gather mutant\n"
             << "                        (chaos scenario; mutation-gate use)\n"
@@ -121,8 +121,10 @@ Cli parse(int argc, char** argv) {
       usage("unknown flag: " + arg);
     }
   }
-  // atoi reads a non-numeric value as 0, so this also rejects those.
+  // atoi reads a non-numeric value as 0, so these also reject those. Zero
+  // schedules would check nothing and still report PASS.
   if (cli.queries < 1) usage("--queries must be >= 1");
+  if (cli.schedules < 1) usage("--schedules must be >= 1");
   if (!cli.trace_path.empty() && !cli.replay) {
     usage("--trace only applies to --replay (one schedule per trace file)");
   }
