@@ -30,7 +30,7 @@ LoadResult run_load(const std::string& approach,
   spec.experts = std::move(experts);
   spec.moe = moe;
   spec.worker_timeout_s = load.worker_timeout_s;
-  spec.quorum = load.gather_quorum;  // TeamNet only
+  spec.quorum = load.gather_quorum;
   spec.rows = sample_load_rows(test, load.num_queries, load.query_seed,
                                load.zipf_exponent);
   // The master's clock at each call is the previous completion, which a

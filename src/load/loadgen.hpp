@@ -43,7 +43,7 @@ struct LoadConfig {
   double worker_timeout_s = 0.0;
   /// > 0 lets the TeamNet gather complete at a quorum of worker answers
   /// (set_gather_quorum; requires worker_timeout_s > 0 to ever degrade).
-  /// Ignored by the SG-MoE path, which has no quorum concept.
+  /// The SG-MoE path has no quorum and throws InvariantError unless 0.
   int gather_quorum = 0;
 };
 

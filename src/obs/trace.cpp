@@ -205,29 +205,46 @@ std::int64_t Tracer::dropped_events() const {
 }
 
 std::string Tracer::to_json() const {
+  // Copy under the locks, format after releasing them: every emission
+  // takes registry_mutex_ (track lookup), so formatting while holding it
+  // would starve emitters behind a concurrent serializer.
+  struct TrackCopy {
+    int id;
+    std::string name;
+    std::vector<TraceEvent> events;
+  };
+  std::map<int, std::string> epoch_names;
+  std::vector<TrackCopy> tracks;
+  {
+    MutexLock lock(registry_mutex_);
+    epoch_names = epoch_names_;
+    tracks.reserve(tracks_.size());
+    for (const auto& [id, t] : tracks_) {
+      MutexLock track_lock(t->mutex);
+      tracks.push_back({id, t->name, t->events});
+    }
+  }
   std::ostringstream os;
   os << "{\"traceEvents\": [\n";
   os << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 0, \"tid\": 0, "
         "\"args\": {\"name\": \"teamnet\"}}";
-  MutexLock lock(registry_mutex_);
   // One Perfetto process row per epoch (= scenario run), ascending pid.
-  for (const auto& [pid, name] : epoch_names_) {
+  for (const auto& [pid, name] : epoch_names) {
     os << ",\n{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
        << ", \"tid\": 0, \"args\": {\"name\": \"" << json_escape(name)
        << "\"}}";
   }
   // std::map iteration = ascending real track id, i.e. grouped by epoch;
   // events in emission order.
-  for (const auto& [id, t] : tracks_) {
-    const int pid = id / kTrackStride;
-    const int tid = id % kTrackStride;
-    MutexLock track_lock(t->mutex);
-    if (!t->name.empty()) {
+  for (const TrackCopy& t : tracks) {
+    const int pid = t.id / kTrackStride;
+    const int tid = t.id % kTrackStride;
+    if (!t.name.empty()) {
       os << ",\n{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << pid
          << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
-         << json_escape(t->name) << "\"}}";
+         << json_escape(t.name) << "\"}}";
     }
-    for (const TraceEvent& e : t->events) {
+    for (const TraceEvent& e : t.events) {
       os << ",\n{\"ph\": \"" << e.ph << "\", \"pid\": " << pid
          << ", \"tid\": " << tid << ", \"ts\": " << json_double(e.ts_us);
       if (!e.name.empty()) {

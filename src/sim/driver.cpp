@@ -71,6 +71,8 @@ FleetRun run_fleet(const FleetSpec& spec, const data::Dataset& test,
                    const ScenarioConfig& config) {
   const int k = static_cast<int>(spec.experts.size());
   TEAMNET_CHECK(k >= 2 && spec.devices.size() == spec.experts.size());
+  TEAMNET_CHECK_MSG(spec.moe == nullptr || spec.quorum == 0,
+                    "SG-MoE has no gather quorum; quorum must be 0");
   // Node map: master 0, primary workers 1..k-1; with backups, node k-1+i
   // is the replica serving worker i's expert.
   const int num_nodes = spec.backups ? 2 * k - 1 : k;

@@ -76,7 +76,9 @@ struct FleetSpec {
   std::optional<FaultLayer> faults;
   double worker_timeout_s = 0.0;  ///< shared gather deadline; 0 = none
   int probe_interval = 4;         ///< probation probe cadence (queries)
-  int quorum = 0;                 ///< TeamNet gather quorum; 0 = full
+  /// TeamNet gather quorum; 0 = full. run_fleet rejects a nonzero quorum
+  /// with `moe` set.
+  int quorum = 0;
   /// Degradation plane: per-worker breakers and expired-request drops.
   bool health = false;
   bool test_pre_qid_gather = false;  ///< see ChaosConfig

@@ -133,7 +133,7 @@ struct ChaosConfig {
   /// TEST-ONLY mutation hook: re-introduces the pre-PR-3 gather, whose
   /// stale-reply defense was the deadline clock reading instead of a
   /// query-id echo — so acceptance races each reply's arrival time against
-  /// the deadline (net::CollaborativeMaster::set_test_pre_qid_gather).
+  /// the deadline (net::WorkerFleet::set_test_pre_qid_gather).
   /// Exists so the schedule explorer's mutation gate can prove it detects
   /// a real ordering bug; never enable outside tests.
   bool test_pre_qid_gather = false;

@@ -40,6 +40,14 @@ nn::MlpConfig tiny_mlp() {
   return cfg;
 }
 
+moe::SgMoe tiny_moe(int k) {
+  moe::SgMoeConfig cfg;
+  cfg.num_experts = k;
+  return moe::SgMoe(cfg, 8, [](int, Rng& rng) -> nn::ModulePtr {
+    return std::make_unique<nn::MlpNet>(tiny_mlp(), rng);
+  });
+}
+
 /// Wraps an expert and throws on its `throw_on`-th forward pass. As expert
 /// 0 it is the master's local expert, so the fault strikes inside a query
 /// after every worker is serving.
@@ -162,11 +170,7 @@ TEST(QueryCount, EveryEntryPointRejectsCountsBelowOne) {
   const auto test = blob_test_set();
   Team team;
   const auto experts = team.experts();
-  moe::SgMoeConfig moe_cfg;
-  moe_cfg.num_experts = 2;
-  moe::SgMoe moe(moe_cfg, 8, [](int, Rng& rng) -> nn::ModulePtr {
-    return std::make_unique<nn::MlpNet>(tiny_mlp(), rng);
-  });
+  moe::SgMoe moe = tiny_moe(2);
   nn::ShakeShakeConfig ss_cfg;
   ss_cfg.depth = 8;
   ss_cfg.image_size = 8;
@@ -201,6 +205,20 @@ TEST(QueryCount, EveryEntryPointRejectsCountsBelowOne) {
     EXPECT_THROW(load::run_sg_moe_load(moe, test, cfg, load), InvariantError);
   }
   EXPECT_EQ(team.faulty->forwards(), 0);  // no query was ever served
+}
+
+/// SG-MoE has no gather quorum: a load run that asks for one is rejected
+/// before any node thread starts instead of silently serving full gathers.
+TEST(SgMoeLoad, RejectsGatherQuorum) {
+  moe::SgMoe moe = tiny_moe(3);
+  load::LoadConfig load;
+  load.num_queries = 8;
+  load.warmup_queries = 1;
+  load.worker_timeout_s = 0.05;
+  load.gather_quorum = 2;
+  EXPECT_THROW(load::run_sg_moe_load(moe, blob_test_set(),
+                                     sim::ScenarioConfig{}, load),
+               InvariantError);
 }
 
 }  // namespace

@@ -261,6 +261,16 @@ class Program:
         self.functions[key] = fn
 
 
+@dataclasses.dataclass(frozen=True, order=True)
+class Edge:
+    """A lock-order edge's witness: function, file and callee chain, with no
+    line numbers so code motion does not churn the baseline. `line` is for
+    reports only."""
+    witness: str
+    file: str
+    line: int
+
+
 @dataclasses.dataclass
 class Finding:
     rule: str
@@ -1082,13 +1092,15 @@ def build_program_lexical(paths: list[pathlib.Path]) -> Program:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError):
             continue
-        toks, markers = tokenize(text)
-        rel = rel_path(path)
-        if any("protocol-scope" in ms for ms in markers.values()):
-            program.protocol_files.add(rel)
-        parser = _Parser(program, rel, toks, markers)
-        parser.parse_decl_scope()
+        parse_lexical(program, rel_path(path), text)
     return program
+
+
+def parse_lexical(program: Program, rel: str, text: str) -> None:
+    toks, markers = tokenize(text)
+    if any("protocol-scope" in ms for ms in markers.values()):
+        program.protocol_files.add(rel)
+    _Parser(program, rel, toks, markers).parse_decl_scope()
 
 
 def rel_path(path: pathlib.Path) -> str:
@@ -1307,7 +1319,7 @@ def compute_may_acquire(program: Program) -> dict[str, dict[str, str]]:
         fn = program.functions[key]
         for a in fn.acquires:
             for lock in a.locks:
-                acq[key].setdefault(lock, f"{fn.qname}:{a.line}")
+                acq[key].setdefault(lock, fn.qname)
     changed = True
     while changed:
         changed = False
@@ -1325,15 +1337,15 @@ def compute_may_acquire(program: Program) -> dict[str, dict[str, str]]:
 
 def build_lock_order(program: Program,
                      acq: dict[str, dict[str, str]]) -> dict[tuple[str, str],
-                                                             str]:
-    """(held, acquired) → witness. MutexPairLock contributes no edge
-    between its own two locks (std::lock orders them atomically)."""
-    edges: dict[tuple[str, str], str] = {}
+                                                             Edge]:
+    """(held, acquired) → its smallest witness. MutexPairLock contributes
+    no edge between its own two locks (std::lock orders them atomically)."""
+    edges: dict[tuple[str, str], Edge] = {}
 
-    def add(h: str, lock: str, witness: str) -> None:
+    def add(h: str, lock: str, edge: Edge) -> None:
         key = (h, lock)
-        if key not in edges or witness < edges[key]:
-            edges[key] = witness
+        if key not in edges or edge < edges[key]:
+            edges[key] = edge
 
     for fkey in sorted(program.functions):
         fn = program.functions[fkey]
@@ -1342,7 +1354,8 @@ def build_lock_order(program: Program,
             for h in held:
                 for lock in a.locks:
                     if lock != h:
-                        add(h, lock, f"{fn.qname} ({fn.file}:{a.line})")
+                        add(h, lock, Edge(f"{fn.qname} ({fn.file})",
+                                          fn.file, a.line))
         for c in fn.calls:
             if c.deferred or not c.held_locks:
                 continue
@@ -1351,12 +1364,12 @@ def build_lock_order(program: Program,
                     for h in c.held_locks:
                         if lock != h:
                             add(h, lock,
-                                f"{fn.qname} ({fn.file}:{c.line}) -> "
-                                f"{acq[t][lock]}")
+                                Edge(f"{fn.qname} ({fn.file}) -> "
+                                     f"{acq[t][lock]}", fn.file, c.line))
     return edges
 
 
-def find_lock_cycles(edges: dict[tuple[str, str], str]) -> list[list[str]]:
+def find_lock_cycles(edges: dict[tuple[str, str], Edge]) -> list[list[str]]:
     """SCCs of size ≥ 2 (plus self-loops) in the lock-order digraph —
     iterative Tarjan, deterministic node order."""
     graph: dict[str, list[str]] = {}
@@ -1454,7 +1467,7 @@ def protocol_scope(program: Program, file: str) -> bool:
 
 
 def run_passes(program: Program) -> tuple[list[Finding],
-                                          dict[tuple[str, str], str]]:
+                                          dict[tuple[str, str], Edge]]:
     resolve_program(program)
     mb = compute_may_block(program)
     acq = compute_may_acquire(program)
@@ -1463,16 +1476,13 @@ def run_passes(program: Program) -> tuple[list[Finding],
 
     for scc in find_lock_cycles(edges):
         subject = " <-> ".join(scc)
-        sample = []
-        for (a, b), w in sorted(edges.items()):
-            if a in scc and b in scc:
-                sample.append(f"{a} -> {b} [{w}]")
-        loc = sample[0] if sample else ""
-        m = re.search(r"\(([^():]+):(\d+)\)", loc)
-        file = m.group(1) if m else "src"
-        line = int(m.group(2)) if m else 1
+        inside = [(a, b, e) for (a, b), e in sorted(edges.items())
+                  if a in scc and b in scc]   # never empty for a cycle
+        sample = [f"{a} -> {b} [{e.witness}]" for a, b, e in inside]
+        first = inside[0][2]
         findings.append(Finding(
-            rule="lock-cycle", file=file, line=line, subject=subject,
+            rule="lock-cycle", file=first.file, line=first.line,
+            subject=subject,
             message=("lock-order cycle (potential deadlock): "
                      + "; ".join(sample[:4]))))
 
@@ -1567,8 +1577,14 @@ def load_baseline(path: pathlib.Path) -> dict:
     return data
 
 
+def lock_order_doc(edges: dict[tuple[str, str], Edge]) -> dict:
+    return {"nodes": sorted({n for e in edges for n in e}),
+            "edges": [{"from": a, "to": b, "witness": e.witness}
+                      for (a, b), e in sorted(edges.items())]}
+
+
 def render_baseline(findings: list[Finding],
-                    edges: dict[tuple[str, str], str],
+                    edges: dict[tuple[str, str], Edge],
                     old: dict) -> str:
     """Canonical baseline text: every current finding (keeping the old
     justification when the fingerprint already existed) plus the lock-order
@@ -1585,18 +1601,11 @@ def render_baseline(findings: list[Finding],
             "subject": f.subject,
             "justification": justification,
         }
-    nodes = sorted({n for e in edges for n in e})
     doc = {
         "version": 1,
         "tool": "teamnet-analyze",
         "frontend": "lexical",
-        "lock_order": {
-            "nodes": nodes,
-            "edges": [
-                {"from": a, "to": b, "witness": w}
-                for (a, b), w in sorted(edges.items())
-            ],
-        },
+        "lock_order": lock_order_doc(edges),
         "findings": {fp: entries[fp] for fp in sorted(entries)},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -1833,6 +1842,28 @@ def run_self_test(frontend: str, build_dir: pathlib.Path) -> int:
         failures.append("fixture_baseline_ok.cpp / fixture_baseline.json "
                         "missing")
 
+    # Code motion must not churn the (lexical) baseline: blank lines above a
+    # locked call leave it byte-identical, while the cycle is still found,
+    # reported at its shifted line.
+    fx = FIXTURES / "fixture_lock_cycle.cpp"
+    text = fx.read_text(encoding="utf-8")
+    site = "  peer_->lock_then_peer();\n"
+    runs = []
+    for src in (text, text.replace(site, "\n\n\n" + site, 1)):
+        program = Program()
+        parse_lexical(program, rel_path(fx), src)
+        findings, edges = run_passes(program)
+        runs.append((render_baseline(findings, edges, {}),
+                     [f.line for f in findings if f.rule == "lock-cycle"]))
+    checks += 2
+    if runs[0][0] != runs[1][0]:
+        failures.append("fixture_lock_cycle.cpp: blank lines above a locked "
+                        "call changed the rendered baseline")
+    if len(runs[0][1]) != 1 or runs[1][1] != [runs[0][1][0] + 3]:
+        failures.append("fixture_lock_cycle.cpp: lock cycle reported at "
+                        f"lines {runs[0][1]}, then {runs[1][1]}; expected "
+                        "one cycle, 3 lines down after the shift")
+
     if failures:
         for msg in failures:
             print(f"self-test FAIL: {msg}")
@@ -1907,11 +1938,7 @@ def main(argv: list[str]) -> int:
                 }
                 for f in findings
             ],
-            "lock_order": {
-                "nodes": sorted({n for e in edges for n in e}),
-                "edges": [{"from": a, "to": b, "witness": w}
-                          for (a, b), w in sorted(edges.items())],
-            },
+            "lock_order": lock_order_doc(edges),
             "summary": {"total": len(findings), "new": len(new),
                         "baselined": len(old), "stale": len(stale)},
         }
